@@ -20,7 +20,7 @@ setup(
     python_requires=">=3.11",
     install_requires=[
         "numpy",
-        "scipy",
+        "scipy>=1.15",
     ],
     extras_require={
         "dev": [

@@ -262,8 +262,10 @@ class PolluxAgent:
         """(Re-)fit theta_sys to the collected profile (Sec. 4.1).
 
         Applies the prior-driven exploration pins for regimes the job has
-        not yet observed.  Cheap to call repeatedly: re-fits only when new
-        observations arrived since the last fit.
+        not yet observed.  Cheap to call repeatedly: re-fits only on the
+        first call, after an observation on a placement never profiled
+        before, or once ``refit_every`` (50) observations have arrived
+        since the last fit; otherwise returns the cached parameters.
         """
         if not self._profile:
             raise RuntimeError("no profile observations to fit")

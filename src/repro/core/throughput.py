@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 __all__ = [
     "ThroughputParams",
@@ -308,9 +308,7 @@ def t_iter_scalar(
         hi, lo = t_sync, t_grad
     ratio = lo / hi if hi > 0 else 0.0
     gamma = params.gamma
-    return float(
-        hi * np.power(1.0 + np.power(ratio, gamma), 1.0 / gamma)
-    )
+    return float(hi * np.power(1.0 + np.power(ratio, gamma), 1.0 / gamma))
 
 
 def throughput_scalar(
@@ -324,6 +322,11 @@ def throughput_scalar(
     return batch_size / t_iter_scalar(params, num_nodes, num_gpus, batch_size, speed)
 
 
+def _clip_gamma(g: float) -> float:
+    """Clamp gamma into [GAMMA_MIN, GAMMA_MAX] as a python float."""
+    return GAMMA_MAX if g > GAMMA_MAX else (GAMMA_MIN if g < GAMMA_MIN else float(g))
+
+
 def _rmsle_full(full: np.ndarray, data: _FitData) -> float:
     """RMSLE of one complete 7-vector against the observations.
 
@@ -333,8 +336,7 @@ def _rmsle_full(full: np.ndarray, data: _FitData) -> float:
     """
     av = np.abs(full[:6])
     ag, bg, asl, bsl, asn, bsn = av
-    g = full[6]
-    gamma = GAMMA_MAX if g > GAMMA_MAX else (GAMMA_MIN if g < GAMMA_MIN else float(g))
+    gamma = _clip_gamma(full[6])
     t_grad = (ag + bg * data.batch / data.gpus) / data.speeds
     t_sync = np.where(data.single_node, asl + bsl * data.extra, asn + bsn * data.extra)
     t_sync = np.where(data.single_gpu, 0.0, t_sync)
@@ -350,166 +352,216 @@ def _rmsle_full(full: np.ndarray, data: _FitData) -> float:
     return float(np.sqrt(np.add.reduce(err * err) / err.size))
 
 
-def _rmsle_batch(full: np.ndarray, data: _FitData, gamma: float) -> np.ndarray:
-    """RMSLE for a ``(B, 7)`` batch of vectors sharing one scalar gamma.
-
-    Evaluates every row in one set of broadcast array operations.  Numpy's
-    elementwise ufuncs and axis-wise pairwise mean are bit-identical between
-    a 1-D row and the rows of a contiguous 2-D batch (verified by
-    ``tests/test_perf_paths.py``), so each entry of the result equals
-    :func:`_rmsle_full` of the corresponding row exactly — which is what
-    makes the batched finite-difference jacobian below a drop-in for
-    scipy's sequential one.  The one trap is gamma: ``np.power`` with an
-    *array* exponent takes a different kernel than with a scalar exponent
-    and rounds differently by 1 ulp on rare inputs, so this function
-    requires all rows to share gamma (the jacobian's gamma-perturbed row is
-    evaluated separately) and ``full[:, 6]`` is ignored.
-    """
-    av = np.abs(full[:, :6])
-    ag = av[:, 0:1]
-    bg = av[:, 1:2]
-    asl = av[:, 2:3]
-    bsl = av[:, 3:4]
-    asn = av[:, 4:5]
-    bsn = av[:, 5:6]
-    g = (
-        GAMMA_MAX
-        if gamma > GAMMA_MAX
-        else (GAMMA_MIN if gamma < GAMMA_MIN else float(gamma))
-    )
-    batch = data.batch[None, :]
-    gpus = data.gpus[None, :]
-    speeds = data.speeds[None, :]
-    extra = data.extra[None, :]
-    t_grad = (ag + bg * batch / gpus) / speeds
-    t_sync = np.where(data.single_node[None, :], asl + bsl * extra, asn + bsn * extra)
-    t_sync = np.where(data.single_gpu[None, :], 0.0, t_sync)
-    hi = np.maximum(t_grad, t_sync)
-    lo = np.minimum(t_grad, t_sync)
-    safe_hi = np.where(hi > 0, hi, 1.0)
-    ratio = np.where(hi > 0, lo / safe_hi, 0.0)
-    pred = hi * np.power(1.0 + np.power(ratio, g), 1.0 / g)
-    err = np.log(np.maximum(pred, 1e-12)) - data.t_obs_log[None, :]
-    sq = err * err
-    return np.sqrt(np.add.reduce(sq, axis=1) / sq.shape[1])
-
-
-#: Index of gamma in the canonical parameter vector.
-_GAMMA_IDX = _PARAM_NAMES.index("gamma")
-
 #: Absolute finite-difference step L-BFGS-B passes to its internal 2-point
 #: differences (the legacy ``eps`` option), and the relative fallback step
 #: (sqrt(machine eps)) scipy substitutes where the absolute step vanishes.
 _FD_ABS_STEP = 1e-8
 _FD_RSTEP = float(np.sqrt(np.finfo(np.float64).eps))
 
+#: The solver settings of ``minimize(method="L-BFGS-B",
+#: options={"maxiter": 60})``: scipy's defaults for the history size,
+#: ``ftol`` (as ``factr = ftol / eps``), ``gtol`` and line-search steps.
+_LBFGSB_MAXCOR = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_FIT_MAXITER = 60
 
-class _FitObjective:
-    """RMSLE objective with a batched finite-difference jacobian.
+#: L-BFGS-B ``task`` codes: evaluate f and g at x, new iterate, stop, and
+#: the stop reason scipy records when ``maxiter`` is reached.
+_TASK_FG = 3
+_TASK_NEW_X = 1
+_TASK_STOP = 5
+_TASK_STOP_MAXITER = 504
 
-    The fitting hot path.  ``fun`` evaluates the loss for the free
-    parameters; ``jac`` reproduces *exactly* the 2-point forward-difference
-    gradient scipy's L-BFGS-B computes internally when ``jac=None`` — same
-    step-size rule (the solver's absolute ``eps=1e-8`` with scipy's
-    relative-step fallback), same one-sided bounds adjustment, same
-    ``(f(x + h e_i) - f(x)) / ((x_i + h_i) - x_i)``
-    quotient — but evaluates all perturbed points in a single broadcast
-    batch instead of one sequential call per free parameter.  The resulting
-    optimizer trajectory is bit-for-bit identical to ``jac=None`` (asserted
-    by ``tests/test_perf_paths.py``) at roughly a 5x lower cost per
-    gradient.
+
+def _rmsle_steps(
+    x: np.ndarray, stepped: np.ndarray, free_idx: np.ndarray, data: _FitData
+) -> np.ndarray:
+    """RMSLE at each point and at every single-coordinate step from it.
+
+    ``x`` and ``stepped`` are ``(S, n)`` free-parameter vectors with gamma
+    last.  Returns ``(S, n + 1)``: column 0 is the loss at ``x[s]`` and
+    column ``1 + i`` the loss at ``x[s]`` with coordinate ``i`` replaced by
+    ``stepped[s, i]`` — the points of a forward-difference gradient.
+    Parameters outside ``free_idx`` (the pinned ones) are zero.  Every
+    entry equals :func:`_rmsle_full` of the corresponding full vector bit
+    for bit (asserted by ``tests/test_perf_paths.py``): numpy's elementwise
+    ufuncs and its per-row pairwise sum over a contiguous 2-D array match
+    the 1-D evaluation, so the ``S * n`` points that share their start's
+    gamma are evaluated as rows of one array pass.
+
+    The gamma-stepped point has the same ``hi``/``ratio`` as ``x`` and
+    differs only in its two ``np.power`` calls.  Those, like every row's
+    ``np.power`` calls, run once per start with a scalar exponent: an
+    *array* exponent takes a different kernel that rounds differently by
+    1 ulp on rare inputs.
+    """
+    num_starts, n = x.shape
+    nongamma = free_idx[:-1]
+    k = nongamma.size
+    rows = num_starts * n
+    # Row 0 of each start is x itself; row 1 + i steps coordinate i.
+    full = np.zeros((num_starts, n, 6))
+    full[:, :, nongamma] = x[:, None, :k]
+    full[:, 1 + np.arange(k), nongamma] = stepped[:, :k]
+    av = np.abs(full.reshape(rows, 6))
+    ag = av[:, 0:1]
+    bg = av[:, 1:2]
+    asl = av[:, 2:3]
+    bsl = av[:, 3:4]
+    asn = av[:, 4:5]
+    bsn = av[:, 5:6]
+    t_grad = (ag + bg * data.batch / data.gpus) / data.speeds
+    t_sync = np.where(data.single_node, asl + bsl * data.extra, asn + bsn * data.extra)
+    t_sync = np.where(data.single_gpu, 0.0, t_sync)
+    hi = np.maximum(t_grad, t_sync)
+    lo = np.minimum(t_grad, t_sync)
+    safe_hi = np.where(hi > 0, hi, 1.0)
+    ratio = np.where(hi > 0, lo / safe_hi, 0.0)
+    # Rows [0, rows) are the points above; row rows + s is start s's
+    # gamma step, which reuses row s * n's hi and ratio.
+    pred = np.empty((rows + num_starts, data.batch.size))
+    gammas = x[:, -1].tolist()
+    gamma_steps = stepped[:, -1].tolist()
+    for s in range(num_starts):
+        block = slice(s * n, (s + 1) * n)
+        g = _clip_gamma(gammas[s])
+        np.power(1.0 + np.power(ratio[block], g), 1.0 / g, out=pred[block])
+        g = _clip_gamma(gamma_steps[s])
+        np.power(1.0 + np.power(ratio[s * n], g), 1.0 / g, out=pred[rows + s])
+    pred[:rows] *= hi
+    pred[rows:] *= hi[::n]
+    err = np.log(np.maximum(pred, 1e-12)) - data.t_obs_log
+    sq = err * err
+    loss = np.sqrt(np.add.reduce(sq, axis=1) / sq.shape[1])
+    out = np.empty((num_starts, n + 1))
+    out[:, :n] = loss[:rows].reshape(num_starts, n)
+    out[:, n] = loss[rows:]
+    return out
+
+
+def _fd_steps(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Forward-difference step points of L-BFGS-B's ``jac=None`` gradient.
+
+    scipy's rule, elementwise over ``(S, n)`` points: the absolute step
+    ``eps=1e-8``, falling back to ``sqrt(eps) * sign * max(1, |x|)``
+    (sign +1 at 0) where the absolute step is indistinguishable from x,
+    then flipped or clamped where the one-sided step would leave the
+    bounds.  Returns ``x + h``.
+    """
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where(
+        (x + _FD_ABS_STEP) - x == 0,
+        _FD_RSTEP * sign * np.maximum(1.0, np.abs(x)),
+        _FD_ABS_STEP,
+    )
+    lower_dist = x - lb
+    upper_dist = ub - x
+    stepped = x + h
+    h = np.where((stepped < lb) | (stepped > ub), -h, h)
+    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    clamped = np.where(upper_dist >= lower_dist, upper_dist, -lower_dist)
+    h = np.where(fitting, h, clamped)
+    return x + h
+
+
+class _LbfgsbStart:
+    """One start's L-BFGS-B state, driven exactly as scipy's own loop.
+
+    Mirrors ``scipy.optimize._lbfgsb_py._minimize_lbfgsb``: the same
+    workspaces passed to the same C ``setulb``, the same iteration count
+    and ``maxiter`` stop.  scipy's ``maxfun`` check is omitted because it
+    cannot fire: 60 iterations of at most 20 line-search steps stay below
+    its 15000 limit.
     """
 
     def __init__(
-        self,
-        free_idx: np.ndarray,
-        base: np.ndarray,
-        data: _FitData,
-        lb: np.ndarray,
-        ub: np.ndarray,
+        self, x0: np.ndarray, low: np.ndarray, upper: np.ndarray, nbd: np.ndarray
     ):
-        self.free_idx = free_idx
-        self.base = base
-        self.data = data
-        self.lb = lb
-        self.ub = ub
-        self._lb_list = lb.tolist()
-        self._ub_list = ub.tolist()
-        self._gamma_row = int(np.nonzero(free_idx == _GAMMA_IDX)[0][0])
-        self._last_x: Optional[bytes] = None
-        self._last_f = 0.0
-        # Reusable jacobian buffers (jac is called tens of thousands of
-        # times per simulation; every row is fully overwritten each call).
-        n = free_idx.size
-        self._row_idx = np.arange(n)
-        self._full_buf = np.empty((n, base.size), dtype=float)
-        self._fun_buf = np.empty(base.size, dtype=float)
+        n = x0.size
+        m = _LBFGSB_MAXCOR
+        self.x = np.array(x0, dtype=np.float64)
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.nit = 0
+        self._wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self._iwa = np.zeros(3 * n, dtype=np.int32)
+        self._task = np.zeros(2, dtype=np.int32)
+        self._ln_task = np.zeros(2, dtype=np.int32)
+        self._lsave = np.zeros(4, dtype=np.int32)
+        self._isave = np.zeros(44, dtype=np.int32)
+        self._dsave = np.zeros(29)
+        self._bounds = (low, upper, nbd)
 
-    def fun(self, vec: np.ndarray) -> float:
-        full = self._fun_buf
-        full[:] = self.base
-        full[self.free_idx] = vec
-        f = _rmsle_full(full, self.data)
-        # L-BFGS-B always evaluates the gradient at the point it just
-        # evaluated the function at; remember f so jac() can skip the
-        # duplicate evaluation.
-        self._last_x = vec.tobytes()
-        self._last_f = f
-        return f
+    def advance(self) -> bool:
+        """Step until the solver asks for f and g at ``x`` (True) or stops."""
+        task = self._task
+        low, upper, nbd = self._bounds
+        while True:
+            _lbfgsb.setulb(
+                _LBFGSB_MAXCOR,
+                self.x,
+                low,
+                upper,
+                nbd,
+                self.f,
+                self.g,
+                _LBFGSB_FACTR,
+                _LBFGSB_PGTOL,
+                self._wa,
+                self._iwa,
+                task,
+                self._lsave,
+                self._isave,
+                self._dsave,
+                _LBFGSB_MAXLS,
+                self._ln_task,
+            )
+            if task[0] == _TASK_FG:
+                return True
+            if task[0] != _TASK_NEW_X:
+                return False
+            self.nit += 1
+            if self.nit >= _FIT_MAXITER:
+                task[0] = _TASK_STOP
+                task[1] = _TASK_STOP_MAXITER
 
-    def jac(self, vec: np.ndarray) -> np.ndarray:
-        if self._last_x == vec.tobytes():
-            f0 = self._last_f
-        else:
-            f0 = self.fun(vec)
-        # Step selection, replicated from scipy _numdiff in exact (python
-        # float) arithmetic: L-BFGS-B passes its legacy absolute step
-        # eps=1e-8, falling back to the relative rule
-        # sqrt(eps) * sign(+1 at 0) * max(1, |x|) wherever the absolute
-        # step is indistinguishable from x, then adjusts '1-sided' steps
-        # that would leave the bounds.
-        n = vec.size
-        xs = vec.tolist()
-        hs = [0.0] * n
-        dxs = [0.0] * n
-        for i in range(n):
-            x = xs[i]
-            h = _FD_ABS_STEP
-            if (x + h) - x == 0.0:
-                h = _FD_RSTEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
-            lb, ub = self._lb_list[i], self._ub_list[i]
-            lower_dist = x - lb
-            upper_dist = ub - x
-            x1 = x + h
-            fitting = abs(h) <= max(lower_dist, upper_dist)
-            if (x1 < lb or x1 > ub) and fitting:
-                h = -h
-            if not fitting:
-                h = upper_dist if upper_dist >= lower_dist else -lower_dist
-            hs[i] = h
-            dxs[i] = (x + h) - x
-        stepped = np.array([xs[i] + hs[i] for i in range(n)])
-        dx = np.array(dxs)
-        full = self._full_buf
-        full[:] = self.base
-        full[:, self.free_idx] = vec
-        full[self._row_idx, self.free_idx] = stepped
-        # All rows except the gamma-perturbed one share the unperturbed
-        # gamma, which lets the batch use the scalar-exponent pow kernel
-        # (see _rmsle_batch); the gamma row (whose batch entry would be
-        # wrong anyway) is excluded and goes through the 1-D path.
-        gamma_row = self._gamma_row
-        fs = np.empty(n)
-        if gamma_row > 0:
-            fs[:gamma_row] = _rmsle_batch(
-                full[:gamma_row], self.data, xs[gamma_row]
-            )
-        fs[gamma_row] = _rmsle_full(full[gamma_row], self.data)
-        if gamma_row + 1 < n:
-            fs[gamma_row + 1 :] = _rmsle_batch(
-                full[gamma_row + 1 :], self.data, xs[gamma_row]
-            )
-        return (fs - f0) / dx
+
+def _lbfgsb_lockstep(
+    starts: Sequence[np.ndarray],
+    lb: np.ndarray,
+    ub: np.ndarray,
+    free_idx: np.ndarray,
+    data: _FitData,
+) -> List[Tuple[np.ndarray, float, int]]:
+    """Minimize the RMSLE from every start, all starts in lockstep.
+
+    Each start runs its own L-BFGS-B (:class:`_LbfgsbStart`) with scipy's
+    2-point finite-difference gradient.  At every step the points all
+    unfinished starts ask for are evaluated together, loss and gradient in
+    one :func:`_rmsle_steps` pass.  Starts never interact, so each returns
+    the ``(x, fun, nit)`` a separate ``minimize(method="L-BFGS-B",
+    jac=None, bounds=..., options={"maxiter": 60})`` call returns, bit for
+    bit: ``fun`` is the last evaluated loss, as in scipy.
+    """
+    # scipy's bound encoding: nbd 1 = lower bound only, 2 = both bounds.
+    finite_ub = np.isfinite(ub)
+    nbd = np.where(finite_ub, 2, 1).astype(np.int32)
+    upper = np.where(finite_ub, ub, 0.0)
+    solvers = [_LbfgsbStart(np.clip(x0, lb, ub), lb, upper, nbd) for x0 in starts]
+    active = [s for s in solvers if s.advance()]
+    while active:
+        x = np.array([s.x for s in active])
+        stepped = _fd_steps(x, lb, ub)
+        losses = _rmsle_steps(x, stepped, free_idx, data)
+        f0 = losses[:, :1]
+        grads = (losses[:, 1:] - f0) / (stepped - x)
+        for s, f, g in zip(active, f0[:, 0].tolist(), grads):
+            s.f = f
+            s.g[:] = g
+        active = [s for s in active if s.advance()]
+    return [(s.x, s.f, s.nit) for s in solvers]
 
 
 def project_throughput_params(
@@ -536,7 +588,6 @@ def fit_throughput_params(
     initial: Optional[ThroughputParams] = None,
     num_restarts: int = 4,
     seed: int = 0,
-    use_fd_jac: bool = True,
 ) -> ThroughputParams:
     """Fit theta_sys to observed profile entries (Sec. 4.1, online fitting).
 
@@ -552,12 +603,6 @@ def fit_throughput_params(
         initial: Optional warm-start parameters (e.g. the previous fit).
         num_restarts: Number of random restarts in addition to the warm start.
         seed: Seed for the random restarts.
-        use_fd_jac: Use the batched finite-difference jacobian
-            (:class:`_FitObjective`), which reproduces scipy's internal
-            2-point differences bit-for-bit at a fraction of the cost.
-            ``False`` falls back to scipy's sequential differences; both
-            settings return identical parameters (tested), so this is only
-            an escape hatch for verifying that equivalence.
 
     Returns:
         The fitted :class:`ThroughputParams`.
@@ -579,9 +624,6 @@ def fit_throughput_params(
     free_names = [n for n in _PARAM_NAMES if n not in pinned]
     free_idx = np.array([_PARAM_NAMES.index(n) for n in free_names], dtype=int)
 
-    base = np.zeros(len(_PARAM_NAMES), dtype=float)
-    base[-1] = GAMMA_MIN  # gamma placeholder; always a free parameter
-
     # Scale-aware initial guesses: alpha_grad near the smallest observed
     # iteration time, beta_grad near t_iter / local batch size.  Observed
     # times are converted to reference-device units (t * speed) first.
@@ -599,13 +641,6 @@ def fit_throughput_params(
         "gamma": 2.0,
     }
 
-    bounds = []
-    for name in free_names:
-        if name == "gamma":
-            bounds.append((GAMMA_MIN, GAMMA_MAX))
-        else:
-            bounds.append((0.0, None))
-
     starts: List[np.ndarray] = []
     if initial is not None:
         starts.append(initial.as_vector()[free_idx])
@@ -619,31 +654,21 @@ def fit_throughput_params(
             start[gidx] = rng.uniform(GAMMA_MIN, GAMMA_MAX)
         starts.append(start)
 
+    # alpha/beta >= 0; gamma, never pinned and so always last, in [1, 10].
+    lb = np.zeros(free_idx.size)
+    lb[-1] = GAMMA_MIN
+    ub = np.full(free_idx.size, np.inf)
+    ub[-1] = GAMMA_MAX
+    data = _FitData.build(nodes, gpus, batch, speeds, np.log(t_obs))
     best_vec: Optional[np.ndarray] = None
     best_loss = np.inf
-    lb = np.array([b[0] for b in bounds], dtype=float)
-    ub = np.array(
-        [b[1] if b[1] is not None else np.inf for b in bounds], dtype=float
-    )
-    data = _FitData.build(nodes, gpus, batch, speeds, np.log(t_obs))
-    objective = _FitObjective(free_idx, base, data, lb, ub)
-    jac = objective.jac if use_fd_jac else None
-    for start in starts:
-        clipped = np.clip(start, lb, ub)
-        result = minimize(
-            objective.fun,
-            clipped,
-            jac=jac,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 60},
-        )
-        if result.fun < best_loss:
-            best_loss = float(result.fun)
-            best_vec = np.asarray(result.x, dtype=float)
+    for x, fun, _ in _lbfgsb_lockstep(starts, lb, ub, free_idx, data):
+        if fun < best_loss:
+            best_loss = fun
+            best_vec = x
 
     assert best_vec is not None
-    full = base.copy()
+    full = np.zeros(len(_PARAM_NAMES))
     full[free_idx] = np.abs(best_vec)
     full[-1] = float(np.clip(full[-1], GAMMA_MIN, GAMMA_MAX))
     return ThroughputParams.from_vector(full)

@@ -1,27 +1,33 @@
 """Bit-identity tests for the hot-path fast implementations.
 
-The perf subsystem (PR 2) replaced several numpy-array code paths with
-cheaper equivalents — a batched finite-difference jacobian for the theta_sys
-fit, scalar evaluations for golden-section search and the simulator's ground
-truth, and restricted re-checks in the GA's interference repair.  Every one
-of them is required to be *bit-for-bit* identical to the original
-formulation (the homogeneous default-config invariant from PR 1), which is
+The perf subsystem replaced several numpy-array code paths with cheaper
+equivalents — the lockstep L-BFGS-B loop and fused loss pass of the
+theta_sys fit, scalar evaluations for golden-section search and the
+simulator's ground truth, and restricted re-checks in the GA's interference
+repair.  Every one of them is required to be *bit-for-bit* identical to the
+original formulation (the homogeneous default-config invariant), which is
 what these tests pin down.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
+from repro.core import throughput
 from repro.core.efficiency import efficiency, efficiency_scalar
 from repro.core.goodput import BatchSizeLimits, GoodputModel
 from repro.core.efficiency import EfficiencyModel
 from repro.core.throughput import (
+    _PARAM_NAMES,
+    GAMMA_MAX,
+    GAMMA_MIN,
     ExplorationState,
     ProfileEntry,
     ThroughputModel,
     ThroughputParams,
     _FitData,
-    _rmsle_batch,
+    _fd_steps,
     _rmsle_full,
+    _rmsle_steps,
     fit_throughput_params,
     t_iter_scalar,
     throughput_scalar,
@@ -86,8 +92,11 @@ class TestScalarThroughputPaths:
     def test_gns_phi_scalar_bit_identical(self):
         rng = np.random.default_rng(3)
         trajectories = [
-            GNSTrajectory(phi_start=2000.0, phi_end=8000.0,
-                          decay_jumps=((1 / 3, 3.0), (2 / 3, 3.0))),
+            GNSTrajectory(
+                phi_start=2000.0,
+                phi_end=8000.0,
+                decay_jumps=((1 / 3, 3.0), (2 / 3, 3.0)),
+            ),
             GNSTrajectory(phi_start=20.0, phi_end=120.0, decay_jumps=((0.6, 2.0),)),
             GNSTrajectory(phi_start=30.0, phi_end=250.0),
         ]
@@ -98,56 +107,133 @@ class TestScalarThroughputPaths:
                 assert gns.phi_scalar(float(p)) == float(gns.phi(float(p)))
 
 
-class TestBatchedRmsle:
-    def test_batch_rows_match_full(self):
-        """2-D batched RMSLE equals the 1-D evaluation row by row."""
+_SPEEDS = (0.5, 1.0, 2.0)
+
+
+def _random_data(rng, n_obs: int) -> _FitData:
+    """Observation arrays with mixed placements and GPU speeds."""
+    gpus = rng.integers(1, 17, n_obs).astype(float)
+    nodes = np.minimum(rng.integers(1, 5, n_obs), gpus).astype(float)
+    batch = rng.uniform(8, 2048, n_obs)
+    speeds = rng.choice(_SPEEDS, n_obs)
+    t_obs_log = np.log(rng.uniform(0.01, 1.0, n_obs))
+    return _FitData.build(nodes, gpus, batch, speeds, t_obs_log)
+
+
+def _random_exploration(rng) -> ExplorationState:
+    """Any of the eight pin sets (flags drawn independently)."""
+    return ExplorationState(*(bool(b) for b in rng.integers(0, 2, 3)))
+
+
+def _full_vector(free_idx, x) -> np.ndarray:
+    full = np.zeros(7)
+    full[free_idx] = x
+    return full
+
+
+class TestFusedRmsle:
+    def test_step_rows_match_full(self):
+        """Every loss of the fused pass equals the 1-D evaluation."""
         rng = np.random.default_rng(4)
-        for n_obs in (1, 3, 17, 60):
-            nodes = rng.integers(1, 5, n_obs).astype(float)
-            gpus = (nodes * rng.integers(1, 5, n_obs)).astype(float)
-            batch = rng.uniform(8, 2048, n_obs)
-            speeds = rng.choice([1.0, 2.0], n_obs)
-            t_obs_log = np.log(rng.uniform(0.01, 1.0, n_obs))
-            data = _FitData.build(nodes, gpus, batch, speeds, t_obs_log)
-            gamma = float(rng.uniform(1.0, 10.0))
-            full = np.abs(rng.normal(0, 0.1, (12, 7)))
-            full[:, 6] = gamma
-            batched = _rmsle_batch(full, data, gamma)
-            for i in range(full.shape[0]):
-                assert batched[i] == _rmsle_full(full[i], data)
-
-
-class TestFitJacobianEquivalence:
-    def test_fd_jac_matches_scipy_internal_differences(self):
-        """The batched jacobian reproduces jac=None fits bit-for-bit."""
-        rng = np.random.default_rng(5)
-        for trial in range(8):
-            p = _random_params(rng)
-            model = ThroughputModel(p)
-            obs = []
-            exploration = ExplorationState()
-            for _ in range(int(rng.integers(4, 40))):
-                gpus = int(rng.integers(1, 17))
-                nodes = int(rng.integers(1, gpus + 1))
-                bs = float(rng.uniform(8, 2048))
-                speed = float(rng.choice([1.0, 2.0]))
-                t = float(model.t_iter(nodes, gpus, bs, speed)) * float(
-                    rng.lognormal(0, 0.05)
+        # The sizes cross numpy's pairwise-summation block edges (8, 128).
+        for n_obs in (1, 8, 9, 17, 128, 129, 200):
+            for _ in range(6):
+                data = _random_data(rng, n_obs)
+                pinned = _random_exploration(rng).pinned_params()
+                free_idx = np.array(
+                    [i for i, name in enumerate(_PARAM_NAMES) if name not in pinned]
                 )
+                n = free_idx.size
+                num_starts = int(rng.integers(1, 7))
+                x = np.abs(rng.normal(0.0, 0.1, (num_starts, n)))
+                x[:, -1] = rng.choice([1.0, 10.0, 2.5, 7.3], num_starts)
+                lb = np.zeros(n)
+                lb[-1] = GAMMA_MIN
+                ub = np.full(n, np.inf)
+                ub[-1] = GAMMA_MAX
+                stepped = _fd_steps(x, lb, ub)
+                losses = _rmsle_steps(x, stepped, free_idx, data)
+                assert losses.shape == (num_starts, n + 1)
+                for s in range(num_starts):
+                    assert losses[s, 0] == _rmsle_full(
+                        _full_vector(free_idx, x[s]), data
+                    )
+                    for i in range(n):
+                        point = x[s].copy()
+                        point[i] = stepped[s, i]
+                        assert losses[s, 1 + i] == _rmsle_full(
+                            _full_vector(free_idx, point), data
+                        )
+
+
+class TestLockstepFitter:
+    def test_matches_per_start_scipy_minimize(self, monkeypatch):
+        """Lockstep starts equal separate jac=None L-BFGS-B runs, bit for bit.
+
+        The reference is what the fitter used to run: one
+        ``minimize(method="L-BFGS-B", jac=None)`` per start over
+        :func:`_rmsle_full`, keeping the first start with the lowest loss.
+        Each start's ``(x, fun, nit)`` is compared, so starts that stop at
+        different iterations (convergence, the 60-iteration cap, line-search
+        failure) are all covered.
+        """
+        calls = []
+        real = throughput._lbfgsb_lockstep
+
+        def recording(starts, lb, ub, free_idx, data):
+            results = real(starts, lb, ub, free_idx, data)
+            calls.append((starts, lb, ub, free_idx, data, results))
+            return results
+
+        monkeypatch.setattr(throughput, "_lbfgsb_lockstep", recording)
+        rng = np.random.default_rng(5)
+        nits = set()
+        for case in range(80):
+            truth = _random_params(rng)
+            model = ThroughputModel(truth)
+            obs = []
+            for _ in range(int(rng.choice([1, 2, 5, 9, 17, 40, 200]))):
+                gpus = int(rng.integers(1, 17))
+                nodes = int(rng.integers(1, min(gpus, 4) + 1))
+                bs = float(rng.uniform(8, 2048))
+                speed = float(rng.choice(_SPEEDS))
+                t = float(model.t_iter(nodes, gpus, bs, speed))
+                t *= float(rng.lognormal(0, 0.05))
                 obs.append(ProfileEntry(nodes, gpus, bs, t, speed))
-                exploration.observe(nodes, gpus)
-            initial = (
-                ThroughputParams(0.05, 0.01, 0.01, 0.001, 0.05, 0.002, 2.0)
-                if trial % 2
-                else None
+            initial = None
+            if case % 3:
+                initial = _random_params(rng).replace(gamma=[1.0, 10.0][case % 2])
+            fitted = fit_throughput_params(
+                obs,
+                _random_exploration(rng),
+                initial=initial,
+                num_restarts=int(rng.integers(0, 5)),
+                seed=case,
             )
-            fast = fit_throughput_params(
-                obs, exploration, initial=initial, seed=trial, use_fd_jac=True
-            )
-            slow = fit_throughput_params(
-                obs, exploration, initial=initial, seed=trial, use_fd_jac=False
-            )
-            assert fast == slow
+            starts, lb, ub, free_idx, data, results = calls[-1]
+            assert len(results) == len(starts)
+            bounds = [(lo, None if np.isinf(hi) else hi) for lo, hi in zip(lb, ub)]
+            best_x, best_loss = None, np.inf
+            for start, (x, fun, nit) in zip(starts, results):
+                ref = minimize(
+                    lambda v: _rmsle_full(_full_vector(free_idx, v), data),
+                    np.clip(start, lb, ub),
+                    jac=None,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={"maxiter": 60},
+                )
+                assert np.array_equal(ref.x, x)
+                assert ref.fun == fun
+                assert ref.nit == nit
+                nits.add(nit)
+                if ref.fun < best_loss:
+                    best_x, best_loss = ref.x, ref.fun
+            full = _full_vector(free_idx, np.abs(best_x))
+            full[6] = float(np.clip(full[6], GAMMA_MIN, GAMMA_MAX))
+            assert fitted == ThroughputParams.from_vector(full)
+        # Starts stopped both before and at the iteration cap.
+        assert 60 in nits and min(nits) < 60
 
 
 class TestSimJobDerivedCache:
@@ -199,9 +285,7 @@ class TestSimJobDerivedCache:
                 profile.throughput_true.throughput(2, 4, job.batch_size, 1.0)
             )
             assert job.throughput_true() == expected_tput
-            assert job.phi_true() == float(
-                profile.gns.phi(job.progress_fraction)
-            )
+            assert job.phi_true() == float(profile.gns.phi(job.progress_fraction))
 
 
 class TestRepairInterferenceEquivalence:
@@ -254,7 +338,8 @@ class TestRepairInterferenceEquivalence:
                 0, 3, size=(6, 7, 5), dtype=np.int64
             )
             opt = GeneticOptimizer(
-                problem, GAConfig(population_size=6, generations=1),
+                problem,
+                GAConfig(population_size=6, generations=1),
                 rng=np.random.default_rng(99),
             )
             fast = pop.copy()
