@@ -526,7 +526,7 @@ class GeneticOptimizerV2(GeneticOptimizer):
       draws (see :meth:`_repair_caps_capacity`).
       Interference repair runs node-major passes batched over the whole
       population — every member's first violating node keeps one uniformly
-      random distributed job — with the distributed set recomputed between
+      random distributed job — with the distributed set kept current between
       passes (see :meth:`_repair_interference` for why single-pass
       resolution over-removes).
     - **Same search structure as legacy, batched.**  Each generation
@@ -719,33 +719,49 @@ class GeneticOptimizerV2(GeneticOptimizer):
         Each pass picks every member's *first* still-violating node, keeps
         one of its distributed jobs (uniformly at random via
         max-of-iid-uniform keys), and drops the others from that node — all
-        members at once.  The distributed-job set is recomputed between
-        passes, so a job that fell to a single node stops being evicted
-        elsewhere: resolving everything in one pass from the *pre-repair*
-        distributed set over-removes (a job conflicted at several nodes
-        would lose all of them at once), which measurably under-allocates
-        saturated clusters.  At most one pass per node, each a handful of
-        array reductions.
+        violating members at once, in ascending member order.  The
+        distributed-job set is kept current between passes, so a job that
+        fell to a single node stops being evicted elsewhere: resolving
+        everything in one pass from the *pre-repair* distributed set
+        over-removes (a job conflicted at several nodes would lose all of
+        them at once), which measurably under-allocates saturated clusters.
+
+        ``present``, the per-job node counts, ``dist_present`` and the
+        per-node distributed-job counts are computed once and then updated
+        per dropped entry: the resolved node keeps exactly one distributed
+        job, and a dropped job left on one node stops counting at that
+        node.  A member that stops violating never violates again (repairs
+        only remove GPUs), so each pass scans only the members still
+        violating.  At most one pass per node.
         """
-        num_members, _, num_nodes = pop.shape
-        member_idx = np.arange(num_members)
-        for _ in range(num_nodes):
-            present = pop > 0
-            dist = present.sum(axis=-1) >= 2  # (P, J)
-            dist_present = present & dist[:, :, None]  # (P, J, N)
-            violating = dist_present.sum(axis=1) >= 2  # (P, N)
-            if not violating.any():
+        present = pop > 0  # (P, J, N)
+        num_present = present.sum(axis=-1)  # (P, J)
+        dist_present = present & (num_present >= 2)[:, :, None]
+        sharing = dist_present.sum(axis=1)  # (P, N)
+        rows = np.arange(pop.shape[0])
+        for _ in range(pop.shape[2]):
+            violating = sharing[rows] >= 2  # (V, N)
+            still = violating.any(axis=1)
+            if not still.any():
                 return
-            first_n = np.argmax(violating, axis=1)  # (P,)
-            rows = np.where(violating[member_idx, first_n])[0]
-            candidates = dist_present[rows, :, first_n[rows]]  # (V, J)
+            rows, violating = rows[still], violating[still]
+            first_n = np.argmax(violating, axis=1)  # (V,)
+            candidates = dist_present[rows, :, first_n]  # (V, J)
             keys = np.where(candidates, self.rng.random(candidates.shape), -1.0)
             keep = np.argmax(keys, axis=1)
-            drop = candidates
-            drop[np.arange(len(rows)), keep] = False
-            cols = pop[rows, :, first_n[rows]]
-            cols[drop] = 0
-            pop[rows, :, first_n[rows]] = cols
+            candidates[np.arange(len(rows)), keep] = False
+            at, job = np.nonzero(candidates)
+            member, node = rows[at], first_n[at]
+            pop[member, job, node] = 0
+            present[member, job, node] = False
+            dist_present[member, job, node] = False
+            sharing[rows, first_n] = 1
+            num_present[member, job] -= 1
+            single = num_present[member, job] == 1
+            member, job = member[single], job[single]
+            rest = np.argmax(present[member, job], axis=1)
+            dist_present[member, job, rest] = False
+            np.subtract.at(sharing, (member, rest), 1)
 
     # ------------------------------------------------------------------
     # Warm start and main loop

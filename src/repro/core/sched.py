@@ -397,17 +397,7 @@ class PolluxSched:
                 for pos, cells in zip(to_build, built_cells):
                     idx, key, ckey, _ = missing[pos]
                     if cache is not None:
-                        # Copy out of the batch's shared backing arrays:
-                        # a cached view would pin the whole round's buffer
-                        # for as long as any one entry survives the LRU.
-                        cache.store(
-                            ckey,
-                            (
-                                cells.tput.copy(),
-                                cells.m_cells.copy(),
-                                cells.counts.copy(),
-                            ),
-                        )
+                        cache.store(ckey, (cells.tput, cells.m_grid, cells.counts))
                     missing[pos] = (idx, key, ckey, cells)
             built = build_surfaces_batch(
                 models,
@@ -418,7 +408,7 @@ class PolluxSched:
             )
             for (idx, key, _, _), entry in zip(missing, built):
                 if cache is not None:
-                    entry = cache.store(key, (entry[0].copy(), entry[1].copy()))
+                    entry = cache.store(key, entry)
                 tables[idx] = entry[0]
         return tables
 

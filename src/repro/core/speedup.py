@@ -41,6 +41,7 @@ __all__ = [
     "build_surfaces_batch",
     "build_tput_cells",
     "TputCells",
+    "CELLS_LAYOUT",
     "best_batch_size_table",
 ]
 
@@ -277,6 +278,11 @@ def build_typed_speedup_table(
     return build_typed_surfaces(model, max_gpus, type_speeds, points_per_octave)[0]
 
 
+#: Name of the :class:`TputCells` layout, recorded in persisted snapshots;
+#: change it whenever the layout changes.
+CELLS_LAYOUT = "padded"
+
+
 class TputCells:
     """Phi-independent throughput cells for one job's goodput surface.
 
@@ -286,20 +292,22 @@ class TputCells:
     is the *only* part of a job's report that drifts on every simulator
     tick.  Caching these cells (keyed on theta_sys + limits + table shape,
     see ``SurfaceCache.cells_key``) turns the per-round table rebuild into
-    one efficiency multiply plus a segmented argmax; a full surface pass
-    is only paid again when theta_sys actually re-fits.
+    one efficiency multiply plus an argmax over the grid axis; a full
+    surface pass is only paid again when theta_sys actually re-fits.
 
     Attributes:
-        tput: ``(2, T, C)`` throughput at every feasible cell.
-        m_cells: ``(C,)`` batch size of each cell (ascending per row).
+        tput: ``(2, T, cap, M_j)`` throughput over the job's own batch-size
+            grid; row k - 1 holds its ``counts[k - 1]`` feasible cells as a
+            prefix and zeros after it.
+        m_grid: ``(M_j,)`` the job's ascending batch-size grid.
         counts: ``(cap,)`` feasible-cell count per k row (k = 1..cap).
     """
 
-    __slots__ = ("tput", "m_cells", "counts")
+    __slots__ = ("tput", "m_grid", "counts")
 
-    def __init__(self, tput: np.ndarray, m_cells: np.ndarray, counts: np.ndarray):
+    def __init__(self, tput: np.ndarray, m_grid: np.ndarray, counts: np.ndarray):
         self.tput = tput
-        self.m_cells = m_cells
+        self.m_grid = m_grid
         self.counts = counts
 
 
@@ -327,9 +335,11 @@ def build_tput_cells(
     Evaluates Eqns. 9-11 over every *feasible* grid cell of every job —
     one flattened row per (job, k) pair, one ragged cell axis instead of a
     padded rectangle — so the whole round's surface evaluation is a
-    handful of large array operations.  The result is phi-independent (see
-    :class:`TputCells`); :func:`build_surfaces_batch` folds in each job's
-    current efficiency curve.
+    handful of large array operations.  The ragged result is then
+    scattered once into each job's own zero-padded ``(2, T, cap, M_j)``
+    rectangle, the layout :func:`build_surfaces_batch` folds over.  The
+    result is phi-independent (see :class:`TputCells`) and owns its
+    arrays, so caching one job's cells pins nothing else.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
@@ -387,9 +397,9 @@ def build_tput_cells(
     # m <= min(max_batch_size, k * max_local_bsz), flattened into one
     # ragged axis with per-row segments.  The grid is ascending, so each
     # row's feasible cells are a prefix; infeasible cells (typically >half
-    # of the padded (R, M) rectangle) are never touched, and the -inf
-    # masking plus argmax of the per-job builders turns into segment
-    # reductions over exactly the cells they would have kept.
+    # of the padded (R, M) rectangle) are never evaluated, and the -inf
+    # masking of the per-job builders becomes the zero padding after each
+    # row's prefix in the per-job rectangles.
     feasible = on_grid[job_of_row] & (
         m_rows <= np.minimum(max_bs, k_row * max_local)[:, None]
     )  # (R, M)
@@ -428,16 +438,19 @@ def build_tput_cells(
         t_iter = np.multiply(hi, work, out=work)
         tput = np.divide(m_cells, t_iter, out=t_iter)  # (2, T, C)
 
-    # Split per job (views into the shared base arrays — no copies).
+    # Scatter each job's ragged cells into its own padded rectangle; the
+    # feasible mask is row-major, like the cell order.
     out: List[TputCells] = []
     cell_starts = np.concatenate([[0], np.cumsum(counts)])
     for j, cap in enumerate(caps):
         row_lo = int(offsets[j])
         row_hi = row_lo + int(cap)
-        a, b = int(cell_starts[row_lo]), int(cell_starts[row_hi])
-        out.append(
-            TputCells(tput[:, :, a:b], m_cells[a:b], counts[row_lo:row_hi])
-        )
+        size = int(num_points[j])
+        rect = np.zeros((2, speeds.size, int(cap), size), dtype=float)
+        rect[:, :, feasible[row_lo:row_hi, :size]] = tput[
+            :, :, cell_starts[row_lo] : cell_starts[row_hi]
+        ]
+        out.append(TputCells(rect, m[j, :size].copy(), counts[row_lo:row_hi].copy()))
     return out
 
 
@@ -449,17 +462,19 @@ def build_surfaces_batch(
     squeeze: bool = True,
     cells: Optional[Sequence[TputCells]] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Speedup + argmax batch-size tables for many jobs in one ragged pass.
+    """Speedup + argmax batch-size tables for many jobs, folded per job.
 
     The per-job surface builders (:func:`build_surfaces` /
     :func:`build_typed_surfaces`) are overhead-bound: each spends most of
-    its time in numpy dispatch on small ``(K, M)`` arrays.  This batches
-    the whole scheduling round's table builds into a handful of array
-    operations over one ragged feasible-cell axis — the hot path of the v2
-    GA engine's problem construction.  Passing previously built ``cells``
-    (see :func:`build_tput_cells`) skips the throughput evaluation
-    entirely and only folds in each job's current efficiency curve — the
-    steady-state round cost while theta_sys is stable.
+    its time in numpy dispatch on small ``(K, M)`` arrays.  This evaluates
+    the whole scheduling round's throughput cells in one ragged pass (see
+    :func:`build_tput_cells`) — the hot path of the v2 GA engine's problem
+    construction.  Passing previously built ``cells`` skips the throughput
+    evaluation entirely: the steady-state round, while theta_sys is
+    stable, only folds each job's current efficiency curve into its padded
+    ``(2, T, cap, M_j)`` cells — ``EFFICIENCY`` on the job's M_j grid
+    points, one broadcast multiply, and an argmax over the grid axis
+    (first maximum, so the smallest batch size wins ties).
 
     Per job the *same* grid, feasibility mask, and normalization as the
     per-job builders are applied, so the returned tables match
@@ -482,8 +497,8 @@ def build_surfaces_batch(
             built with the same caps/grid/type speeds).
 
     Returns:
-        List of ``(speedup_table, batch_size_table)`` pairs, one per job.
-        All tables are views into two shared backing arrays.
+        List of ``(speedup_table, batch_size_table)`` pairs, one per job,
+        each pair backed by its own arrays.
     """
     num_jobs = len(models)
     caps, speeds = _check_batch_args(models, caps, type_speeds)
@@ -497,91 +512,42 @@ def build_surfaces_batch(
     if len(cells) != num_jobs:
         raise ValueError("cells must align with models")
 
-    offsets = np.concatenate([[0], np.cumsum(caps)[:-1]])
-    num_rows = int(caps.sum())
-    job_of_row = np.repeat(np.arange(num_jobs), caps)
-
-    tput = np.concatenate([c.tput for c in cells], axis=-1)  # (2, T, C)
-    m_cells = np.concatenate([c.m_cells for c in cells])  # (C,)
-    counts = np.concatenate([c.counts for c in cells])  # (R,)
-    cells_per_job = np.array([c.m_cells.size for c in cells], dtype=np.int64)
-    cell_job = np.repeat(np.arange(num_jobs), cells_per_job)
-
-    # EFFICIENCY_t(m) (Eqn. 7) at each cell, from each job's current phi.
-    phi_job = np.array(
-        [model.efficiency_model.grad_noise_scale for model in models]
-    )
-    m0_job = np.array(
-        [model.efficiency_model.init_batch_size for model in models]
-    )
-    phi_c = phi_job[cell_job]
-    eff = (phi_c + m0_job[cell_job]) / (phi_c + m_cells)  # (C,)
-    goodput = tput * eff  # (2, T, C)
-
-    # Segmented max/argmax over each row's cells (rows with no feasible
-    # cell — min feasible m needs more than k GPUs — stay zero, exactly
-    # the per-job builders' all-(-inf) branch).
-    best_val = np.zeros((2, num_types, num_rows), dtype=float)
-    best_m = np.zeros((2, num_types, num_rows), dtype=float)
-    rows_nz = counts > 0
-    num_cells = int(m_cells.size)
-    if num_cells:
-        starts_all = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        starts_nz = starts_all[rows_nz]
-        seg_max = np.maximum.reduceat(goodput, starts_nz, axis=-1)
-        num_nz = int(rows_nz.sum())
-        seg_of_cell = np.repeat(np.arange(num_nz), counts[rows_nz])
-        # First cell attaining the segment max == np.argmax's tie-break
-        # (cells are ascending in m within a segment).
-        is_max = goodput == seg_max[:, :, seg_of_cell]
-        cand = np.where(
-            is_max,
-            np.arange(num_cells, dtype=np.int32)[None, None, :],
-            np.int32(num_cells),
-        )
-        seg_arg = np.minimum.reduceat(cand, starts_nz, axis=-1)
-        best_val[:, :, rows_nz] = seg_max
-        best_m[:, :, rows_nz] = m_cells[seg_arg]
-
-    # A placement spanning >= 2 nodes needs >= 2 GPUs: zero the k == 1
-    # multi-node cells (row offsets[j] is each job's k == 1 row).
-    best_val[MULTI_NODE, :, offsets] = 0.0
-    best_m[MULTI_NODE, :, offsets] = 0.0
-
-    # Per-job normalization by the smallest feasible co-located placement
-    # on the reference (slowest) type, batched over jobs.
-    min_gpus_job = np.array(
-        [model.limits.min_gpus() for model in models], dtype=np.int64
-    )
-    has_ref = min_gpus_job <= caps
-    denom_job = np.zeros(num_jobs, dtype=float)
-    ref_rows = offsets + np.minimum(min_gpus_job, caps) - 1
-    denom_job[has_ref] = best_val[SINGLE_NODE, ref_type, ref_rows[has_ref]]
-    # Jobs whose denominator degenerates get an all-zero speedup table
-    # (the per-job builders' behavior); dividing by 1 keeps them zero only
-    # after masking, so zero the rows explicitly.
-    pos = denom_job > 0
-    denom_rows = np.where(pos, denom_job, 1.0)[job_of_row]
-    sp_val = (best_val / denom_rows) * pos[job_of_row]
-
-    # Assemble every job's (cap + 1, 2[, T]) table pair as views into two
-    # contiguous backing arrays — one scatter for all jobs instead of a
-    # per-job copy loop.  Job j's block spans rows offsets[j] + j ..
-    # offsets[j] + j + cap_j; its first row is the all-zero k == 0 row.
-    sp_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    bm_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
-    target = np.arange(num_rows) + job_of_row + 1
-    sp_full[target] = sp_val.transpose(2, 0, 1)
-    bm_full[target] = best_m.transpose(2, 0, 1)
-
     out: List[Tuple[np.ndarray, np.ndarray]] = []
-    for j, cap in enumerate(caps):
-        start = int(offsets[j]) + j
-        block = slice(start, start + int(cap) + 1)
-        if flat:
-            out.append((sp_full[block, :, 0], bm_full[block, :, 0]))
+    for model, cap, job_cells in zip(models, caps.tolist(), cells):
+        # EFFICIENCY_t(m) (Eqn. 7) on the job's grid, from its current phi.
+        phi = model.efficiency_model.grad_noise_scale
+        m0 = model.efficiency_model.init_batch_size
+        eff = (phi + m0) / (phi + job_cells.m_grid)  # (M_j,)
+        goodput = job_cells.tput * eff  # (2, T, cap, M_j)
+        best = np.argmax(goodput, axis=-1)  # (2, T, cap)
+        best_val = np.take_along_axis(goodput, best[..., None], axis=-1)
+
+        sp = np.zeros((cap + 1, 2, num_types), dtype=float)
+        bm = np.zeros((cap + 1, 2, num_types), dtype=float)
+        # Rows with no feasible cell (min feasible m needs more than k GPUs)
+        # stay zero, the per-job builders' all-(-inf) branch.  Masked by
+        # count, not value: a feasible row whose best goodput is 0 keeps
+        # its batch size.
+        live = job_cells.counts > 0
+        sp[1:][live] = best_val[..., 0].transpose(2, 0, 1)[live]
+        bm[1:][live] = job_cells.m_grid[best].transpose(2, 0, 1)[live]
+        # A placement spanning >= 2 nodes needs >= 2 GPUs.
+        sp[1, MULTI_NODE] = 0.0
+        bm[1, MULTI_NODE] = 0.0
+
+        # Normalize by the smallest feasible co-located placement on the
+        # reference (slowest) type; a degenerate denominator gives the
+        # per-job builders' all-zero speedup table.
+        min_gpus = model.limits.min_gpus()
+        denom = sp[min_gpus, SINGLE_NODE, ref_type] if min_gpus <= cap else 0.0
+        if denom > 0:
+            sp /= denom
         else:
-            out.append((sp_full[block], bm_full[block]))
+            sp[:] = 0.0
+        if flat:
+            out.append((sp[:, :, 0], bm[:, :, 0]))
+        else:
+            out.append((sp, bm))
     return out
 
 

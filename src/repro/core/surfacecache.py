@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .speedup import build_surfaces, build_typed_surfaces
+from .speedup import CELLS_LAYOUT, build_surfaces, build_typed_surfaces
 
 if TYPE_CHECKING:  # avoid a runtime cycle: agent.py imports this module
     from .agent import AgentReport
@@ -222,7 +222,7 @@ class SurfaceCache:
         """Insert a built entry (the other half of :meth:`lookup`).
 
         ``entry`` is any tuple of arrays — the ``(speedup_table,
-        bsz_table)`` pair for surface keys, ``(tput, m_cells, counts)``
+        bsz_table)`` pair for surface keys, ``(tput, m_grid, counts)``
         for cells keys; every array is frozen read-only on the way in.
         """
         for array in entry:
@@ -336,6 +336,9 @@ class SurfaceCache:
         assembly away from their cells) are rebuilt on demand and not
         written.
 
+        The file records the cells layout
+        (:data:`~repro.core.speedup.CELLS_LAYOUT`) so that
+        :meth:`load_file` can refuse snapshots written in another one.
         Returns the number of entries written.  The file is written at
         ``path`` exactly (no ``.npz`` suffix is appended).
         """
@@ -344,13 +347,14 @@ class SurfaceCache:
         for key, entry in self.export_cells():
             idx = len(keys)
             keys.append(list(key[:2]) + [int(key[2]), int(key[3]), list(key[4])])
-            tput, m_cells, counts = entry
+            tput, m_grid, counts = entry
             arrays[f"tput_{idx}"] = tput
-            arrays[f"m_{idx}"] = m_cells
+            arrays[f"m_{idx}"] = m_grid
             arrays[f"counts_{idx}"] = counts
         # default=float covers numpy scalar leakage into fingerprints;
         # int/float drift is lookup-safe (tuple hashing treats 1 == 1.0).
         arrays["keys_json"] = np.array(json.dumps(keys, default=float))
+        arrays["cells_layout"] = np.array(CELLS_LAYOUT)
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         return len(keys)
@@ -363,11 +367,19 @@ class SurfaceCache:
         arrays are bit-identical to what :func:`~repro.core.speedup.
         build_surfaces_batch` computes for the same ``theta_fingerprint()``
         on the same numpy stack.  Keys whose jobs have since re-fit
-        theta_sys simply never hit and age out of the LRU.
+        theta_sys simply never hit and age out of the LRU.  A snapshot
+        written in another cells layout (including the ragged ``(2, T, C)``
+        layout, which predates the layout record) loads nothing, so the
+        scheduler rebuilds its cells cold instead of misreading them.
 
         Returns the number of entries loaded.
         """
         with np.load(path, allow_pickle=False) as data:
+            if (
+                "cells_layout" not in data.files
+                or str(data["cells_layout"]) != CELLS_LAYOUT
+            ):
+                return 0
             raw_keys = json.loads(str(data["keys_json"]))
             self.ensure_capacity(len(self._entries) + len(raw_keys))
             loaded = 0

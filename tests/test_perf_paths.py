@@ -3,8 +3,9 @@
 The perf subsystem replaced several numpy-array code paths with cheaper
 equivalents — the lockstep L-BFGS-B loop and fused loss pass of the
 theta_sys fit, scalar evaluations for golden-section search and the
-simulator's ground truth, and restricted re-checks in the GA's interference
-repair.  Every one of them is required to be *bit-for-bit* identical to the
+simulator's ground truth, the per-job padded fold of the speedup tables,
+and restricted re-checks and incremental counts in the GA's interference
+repairs.  Every one of them is required to be *bit-for-bit* identical to the
 original formulation (the homogeneous default-config invariant), which is
 what these tests pin down.
 """
@@ -346,3 +347,307 @@ class TestRepairInterferenceEquivalence:
             opt._repair_interference(fast)
             expected = reference_repair(pop, problem, np.random.default_rng(99))
             assert np.array_equal(fast, expected)
+
+
+def _segmented_fold_reference(models, caps, type_speeds, squeeze, cells):
+    """The ragged segmented-argmax fold the padded per-job fold replaced.
+
+    Takes each job's cells in the ragged layout (``_ragged_cells``): one
+    ``(2, T, C)`` cell axis joined over all jobs, reduced per (job, k) row
+    with ``maximum.reduceat`` and a first-maximum emulation.
+    """
+    from repro.core.speedup import MULTI_NODE, SINGLE_NODE
+
+    caps = np.asarray(caps, dtype=np.int64)
+    speeds = np.asarray(type_speeds, dtype=float)
+    num_jobs = len(models)
+    num_types = speeds.size
+    flat = squeeze and num_types == 1
+    ref_type = int(np.argmin(speeds))
+    offsets = np.concatenate([[0], np.cumsum(caps)[:-1]])
+    num_rows = int(caps.sum())
+    job_of_row = np.repeat(np.arange(num_jobs), caps)
+
+    tput = np.concatenate([c[0] for c in cells], axis=-1)
+    m_cells = np.concatenate([c[1] for c in cells])
+    counts = np.concatenate([c[2] for c in cells])
+    cells_per_job = np.array([c[1].size for c in cells], dtype=np.int64)
+    cell_job = np.repeat(np.arange(num_jobs), cells_per_job)
+
+    phi_job = np.array([m.efficiency_model.grad_noise_scale for m in models])
+    m0_job = np.array([m.efficiency_model.init_batch_size for m in models])
+    phi_c = phi_job[cell_job]
+    eff = (phi_c + m0_job[cell_job]) / (phi_c + m_cells)
+    goodput = tput * eff
+
+    best_val = np.zeros((2, num_types, num_rows), dtype=float)
+    best_m = np.zeros((2, num_types, num_rows), dtype=float)
+    rows_nz = counts > 0
+    num_cells = int(m_cells.size)
+    if num_cells:
+        starts_all = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        starts_nz = starts_all[rows_nz]
+        seg_max = np.maximum.reduceat(goodput, starts_nz, axis=-1)
+        num_nz = int(rows_nz.sum())
+        seg_of_cell = np.repeat(np.arange(num_nz), counts[rows_nz])
+        is_max = goodput == seg_max[:, :, seg_of_cell]
+        cand = np.where(
+            is_max,
+            np.arange(num_cells, dtype=np.int32)[None, None, :],
+            np.int32(num_cells),
+        )
+        seg_arg = np.minimum.reduceat(cand, starts_nz, axis=-1)
+        best_val[:, :, rows_nz] = seg_max
+        best_m[:, :, rows_nz] = m_cells[seg_arg]
+    best_val[MULTI_NODE, :, offsets] = 0.0
+    best_m[MULTI_NODE, :, offsets] = 0.0
+
+    min_gpus_job = np.array([m.limits.min_gpus() for m in models], dtype=np.int64)
+    has_ref = min_gpus_job <= caps
+    denom_job = np.zeros(num_jobs, dtype=float)
+    ref_rows = offsets + np.minimum(min_gpus_job, caps) - 1
+    denom_job[has_ref] = best_val[SINGLE_NODE, ref_type, ref_rows[has_ref]]
+    pos = denom_job > 0
+    denom_rows = np.where(pos, denom_job, 1.0)[job_of_row]
+    sp_val = (best_val / denom_rows) * pos[job_of_row]
+
+    sp_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
+    bm_full = np.zeros((num_rows + num_jobs, 2, num_types), dtype=float)
+    target = np.arange(num_rows) + job_of_row + 1
+    sp_full[target] = sp_val.transpose(2, 0, 1)
+    bm_full[target] = best_m.transpose(2, 0, 1)
+    out = []
+    for j, cap in enumerate(caps):
+        block = slice(int(offsets[j]) + j, int(offsets[j]) + j + int(cap) + 1)
+        if flat:
+            out.append((sp_full[block, :, 0], bm_full[block, :, 0]))
+        else:
+            out.append((sp_full[block], bm_full[block]))
+    return out
+
+
+def _ragged_cells(cells):
+    """A padded ``TputCells`` in the ragged ``(tput, m_cells, counts)`` form."""
+    on_grid = np.arange(cells.m_grid.size)[None, :] < cells.counts[:, None]
+    m_cells = np.broadcast_to(cells.m_grid, on_grid.shape)[on_grid]
+    return cells.tput[:, :, on_grid], m_cells, cells.counts
+
+
+def _edge_models():
+    """Jobs at the fold's corners, each with the cap that exercises it."""
+    params = ThroughputParams(
+        alpha_grad=0.03,
+        beta_grad=0.0006,
+        alpha_sync_local=0.0025,
+        beta_sync_local=0.0002,
+        alpha_sync_node=0.012,
+        beta_sync_node=0.0008,
+        gamma=2.2,
+    )
+
+    def model(m0, max_bs, max_local, phi):
+        limits = BatchSizeLimits(
+            init_batch_size=m0, max_batch_size=max_bs, max_local_bsz=max_local
+        )
+        return GoodputModel(params, EfficiencyModel(m0, phi), limits)
+
+    return [
+        # min_gpus (8) > cap: no row has a feasible cell, all-zero table.
+        (model(512.0, 4096.0, 64.0, 300.0), 4),
+        # min_gpus 4 <= cap: rows k = 1..3 have no feasible cell.
+        (model(256.0, 8192.0, 64.0, 2000.0), 16),
+        # hi == lo: a one-point grid.
+        (model(128.0, 128.0, 128.0, 50.0), 6),
+        # One-point grid that only fits from k = 2 on.
+        (model(128.0, 128.0, 64.0, 50.0), 3),
+        # phi == 0: efficiency falls fastest with m.
+        (model(32.0, 4096.0, 128.0, 0.0), 1),
+    ]
+
+
+class TestSurfaceFold:
+    """The per-job padded fold equals the ragged segmented-argmax fold."""
+
+    @staticmethod
+    def _models_and_caps(seed):
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+        from benchmarks.bench_scale import _synthetic_state
+        from repro.cluster import ClusterSpec
+
+        state = _synthetic_state(ClusterSpec.homogeneous(16, 4), 40, seed=seed)
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (snap.agent_report.goodput_model(), int(rng.integers(1, 65)))
+            for snap in state.jobs
+        ]
+        pairs += _edge_models()
+        pairs += [(m, 64) for m, _ in _edge_models()]
+        order = rng.permutation(len(pairs))
+        return [pairs[i][0] for i in order], [pairs[i][1] for i in order]
+
+    def test_padded_fold_matches_segmented_reference(self):
+        from repro.core.speedup import build_surfaces_batch, build_tput_cells
+
+        for seed in range(3):
+            models, caps = self._models_and_caps(seed)
+            for speeds in ((1.0,), (2.0, 1.0, 0.5)):
+                cells = build_tput_cells(models, caps, 16, speeds)
+                for job_cells, cap in zip(cells, caps):
+                    assert job_cells.tput.shape == (
+                        2,
+                        len(speeds),
+                        cap,
+                        job_cells.m_grid.size,
+                    )
+                    pad = (
+                        np.arange(job_cells.m_grid.size)[None, :]
+                        >= job_cells.counts[:, None]
+                    )
+                    assert not job_cells.tput[:, :, pad].any()
+                ragged = [_ragged_cells(c) for c in cells]
+                for squeeze in (True, False):
+                    got = build_surfaces_batch(
+                        models, caps, 16, speeds, squeeze=squeeze, cells=cells
+                    )
+                    want = _segmented_fold_reference(
+                        models, caps, speeds, squeeze, ragged
+                    )
+                    for (sp, bm), (sp_ref, bm_ref) in zip(got, want):
+                        assert np.array_equal(sp, sp_ref)
+                        assert np.array_equal(bm, bm_ref)
+
+    def test_zero_goodput_row_keeps_batch_size(self):
+        """A feasible row whose best goodput is 0 is masked by count only."""
+        from repro.core.speedup import (
+            TputCells,
+            build_surfaces_batch,
+            build_tput_cells,
+        )
+
+        models = [m for m, _ in _edge_models()][1:3]
+        caps = [16, 6]
+        cells = []
+        for job_cells in build_tput_cells(models, caps):
+            tput = job_cells.tput.copy()
+            tput[:, :, -2:] = 0.0  # feasible rows with zero throughput
+            cells.append(TputCells(tput, job_cells.m_grid, job_cells.counts))
+        got = build_surfaces_batch(models, caps, cells=cells)
+        want = _segmented_fold_reference(
+            models, caps, (1.0,), True, [_ragged_cells(c) for c in cells]
+        )
+        for (sp, bm), (sp_ref, bm_ref), job_cells in zip(got, want, cells):
+            assert np.array_equal(sp, sp_ref)
+            assert np.array_equal(bm, bm_ref)
+            assert (bm[-2:, 0] == job_cells.m_grid[0]).all()
+
+    def test_edge_jobs_tables(self):
+        from repro.core.speedup import build_surfaces_batch
+
+        models = [m for m, _ in _edge_models()]
+        caps = [c for _, c in _edge_models()]
+        tables = build_surfaces_batch(models, caps)
+        # min_gpus > cap: everything reads 0.
+        assert not tables[0][0].any() and not tables[0][1].any()
+        # Rows below min_gpus read 0; the rest keep a batch size.
+        sp, bm = tables[1]
+        assert not sp[:4].any() and not bm[:4].any()
+        assert (bm[4:, 0] > 0).all() and sp[4, 0] == 1.0
+        # One-point grid: every feasible cell picks m0.
+        sp, bm = tables[2]
+        assert (bm[1:, 0] == 128.0).all() and (bm[2:, 1] == 128.0).all()
+        assert bm[1, 1] == 0.0 and sp[1, 0] == 1.0
+        sp, bm = tables[3]
+        assert bm[1, 0] == 0.0 and (bm[2:, 0] == 128.0).all()
+        assert sp[2, 0] == 1.0
+
+
+class TestV2InterferenceEquivalence:
+    """The incremental v2 repair equals the full-rescan node-major repair."""
+
+    @staticmethod
+    def _reference_repair(pop, rng):
+        """Node-major passes recomputing every count from the population."""
+        num_members, _, num_nodes = pop.shape
+        member_idx = np.arange(num_members)
+        before = (pop > 0).sum(axis=-1)
+        passes = 0
+        for _ in range(num_nodes):
+            present = pop > 0
+            dist = present.sum(axis=-1) >= 2
+            dist_present = present & dist[:, :, None]
+            violating = dist_present.sum(axis=1) >= 2
+            if not violating.any():
+                break
+            passes += 1
+            first_n = np.argmax(violating, axis=1)
+            rows = np.where(violating[member_idx, first_n])[0]
+            candidates = dist_present[rows, :, first_n[rows]]
+            keys = np.where(candidates, rng.random(candidates.shape), -1.0)
+            keep = np.argmax(keys, axis=1)
+            drop = candidates
+            drop[np.arange(len(rows)), keep] = False
+            cols = pop[rows, :, first_n[rows]]
+            cols[drop] = 0
+            pop[rows, :, first_n[rows]] = cols
+        after = (pop > 0).sum(axis=-1)
+        fell_to_one = int(((before >= 2) & (after == 1)).sum())
+        return passes, fell_to_one
+
+    def test_matches_full_rescan_reference(self):
+        from repro.cluster import ClusterSpec
+        from repro.core.genetic import (
+            AllocationProblem,
+            GAConfig,
+            GeneticOptimizerV2,
+            JobGAInfo,
+        )
+
+        for shape, density in (
+            ((24, 4, 6), 0.5),
+            ((16, 71, 16), 0.12),
+            ((16, 114, 32), 0.06),
+        ):
+            num_members, num_jobs, num_nodes = shape
+            cluster = ClusterSpec.homogeneous(num_nodes, 4)
+            table = np.zeros((9, 2))
+            table[1:, :] = np.linspace(1.0, 3.0, 8)[:, None]
+            jobs = [
+                JobGAInfo(
+                    speedup_table=table,
+                    weight=1.0,
+                    max_gpus=8,
+                    current_alloc=np.zeros(num_nodes, dtype=np.int64),
+                    running=False,
+                )
+                for _ in range(num_jobs)
+            ]
+            problem = AllocationProblem(cluster, jobs)
+            total_passes = total_fell = 0
+            for seed in range(10):
+                data = np.random.default_rng(seed)
+                pop = np.where(
+                    data.random(shape) < density,
+                    data.integers(1, 4, size=shape),
+                    0,
+                ).astype(np.int64)
+                opt = GeneticOptimizerV2(
+                    problem,
+                    GAConfig(population_size=num_members, generations=1),
+                    rng=np.random.default_rng(99 + seed),
+                )
+                fast = pop.copy()
+                opt._repair_interference(fast)
+                ref_rng = np.random.default_rng(99 + seed)
+                expected = pop.copy()
+                passes, fell = self._reference_repair(expected, ref_rng)
+                total_passes += passes
+                total_fell += fell
+                assert np.array_equal(fast, expected)
+                assert opt.rng.bit_generator.state == ref_rng.bit_generator.state
+            # The populations exercise multi-pass repairs in which jobs fall
+            # to one node part-way through.
+            assert total_passes >= 3 * 10
+            assert total_fell > 0

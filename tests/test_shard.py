@@ -328,6 +328,42 @@ class TestCellsPersistence:
         assert cold.surface_cache.stats.cells_misses == 0
         assert cold.surface_cache.stats.cells_hits == 5
 
+    def test_old_ragged_layout_snapshot_rebuilds_cold(self, tmp_path):
+        cluster = ClusterSpec.homogeneous(4, 4)
+        warm = PolluxSched(cluster, QUICK_CFG, seed=1)
+        baseline = warm.optimize(self.make_jobs(cluster, 5))
+        padded = str(tmp_path / "padded.npz")
+        assert warm.save_cells(padded) == 5
+
+        # Rewrite the snapshot the way the ragged layout stored it: one
+        # (2, T, C) cell axis per entry, cells in row-major order, and no
+        # layout record.
+        arrays = {}
+        with np.load(padded) as data:
+            arrays["keys_json"] = data["keys_json"]
+            for idx in range(5):
+                tput, m_grid = data[f"tput_{idx}"], data[f"m_{idx}"]
+                counts = data[f"counts_{idx}"]
+                on = np.arange(m_grid.size)[None, :] < counts[:, None]
+                arrays[f"tput_{idx}"] = tput[:, :, on]
+                arrays[f"m_{idx}"] = np.broadcast_to(m_grid, on.shape)[on]
+                arrays[f"counts_{idx}"] = counts
+        ragged = str(tmp_path / "ragged.npz")
+        with open(ragged, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        assert arrays["tput_0"].ndim == 3
+
+        assert SurfaceCache().load_file(ragged) == 0
+        cold = PolluxSched(
+            cluster, dataclasses.replace(QUICK_CFG, cells_path=ragged), seed=1
+        )
+        assert len(cold.surface_cache) == 0
+        result = cold.optimize(self.make_jobs(cluster, 5))
+        for jid in baseline:
+            assert np.array_equal(baseline[jid], result[jid])
+        assert cold.surface_cache.stats.cells_hits == 0
+        assert cold.surface_cache.stats.cells_misses == 5
+
     def test_missing_file_is_ignored(self, tmp_path):
         cluster = ClusterSpec.homogeneous(2, 4)
         cfg = dataclasses.replace(
