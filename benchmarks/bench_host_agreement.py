@@ -1,18 +1,24 @@
-"""Host-agreement check: the wall-clock replay host vs the simulator.
+"""Host-agreement check: paced vs unpaced replay, thread vs process executor.
 
-The repo has two hosts of the Policy API — the discrete-time simulator
-(:mod:`repro.sim`) and the wall-clock service (:mod:`repro.host`).  On a
-recorded trace they are supposed to be *the same scheduler*: the replay
-backend drives the identical :class:`~repro.sim.engine.ClusterEngine`
-mechanism through the identical dispatch helpers, so the decision streams
-must agree **bit-for-bit**.  This benchmark runs every registered policy
-through both hosts on the same trace and compares their decision digests
-(:func:`repro.sim.decision_digest`), plus an autoscaling Pollux scenario to
-exercise the ``decide_resize`` dispatch path.
+Every simulation runs through the one dispatch loop,
+:class:`~repro.host.PolicyHost` over a :class:`~repro.host.ReplayBackend`
+at infinite time compression (:class:`~repro.sim.Simulator` is a facade
+over exactly that), so a simulator-vs-host comparison would compare a run
+with itself.  Two things can still make one trace's decision stream
+differ, and this benchmark checks both with the decision digest
+(:func:`repro.sim.decision_digest`):
 
-Any digest divergence is a bug in one of the hosts (a drifted snapshot
-schedule, a report call outside a dispatch event, a perturbed RNG stream)
-— the process exits non-zero, and the ``host-smoke`` CI job fails.
+- pacing: for every scenario, a replay paced against the wall clock (a
+  finite ``compression``) must reproduce the unpaced simulation;
+- execution: ``pollux-sharded`` with the process executor (worker
+  processes, delta wire path) must reproduce the thread executor.
+
+Scenarios: every registered policy on a shared trace (Or et al. on its
+single-job cloud trace with autoscaling), the sharded policy under its
+process executor, and autoscaling Pollux (the cadenced ``decide_resize``
+path).  Any divergence exits non-zero, and the ``host-smoke`` CI job
+fails.  The pinned digests of the simulation itself live in
+``BENCH_perf.json`` (``bench_perf.py --check``).
 
 Run modes:
 
@@ -42,13 +48,21 @@ import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
 from repro.host import PolicyHost, ReplayBackend
-from repro.sim import SimConfig, Simulator, decision_digest
+from repro.sim import SimConfig, decision_digest
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
 
 from benchmarks.common import SCALE, make_cluster, make_scheduler, print_header
 
 #: One agreement scenario: (label, policy factory kwargs, cluster, trace).
 Scenario = Tuple[str, str, Dict[str, object], ClusterSpec, List[JobSpec]]
+
+#: Virtual seconds per wall second of the paced replay: a 30 s tick
+#: sleeps 0.1 ms, so every tick takes the pacing path while the smoke
+#: scale stays a few seconds.
+PACED_COMPRESSION = 3.0e5
+
+#: The scenarios whose digests must match across cell executors.
+EXECUTOR_PAIR = ("pollux-sharded", "pollux-sharded+process")
 
 
 def _scenarios() -> Iterator[Scenario]:
@@ -91,9 +105,10 @@ def _scenarios() -> Iterator[Scenario]:
             )
         else:
             yield name, name, {}, cluster, trace
-    # The sharded policy's process executor must agree across hosts too:
-    # worker lifecycle (spawn at construction, teardown via the hosts'
-    # policy.close()) and the delta wire path both ride this scenario.
+    # The sharded policy's process executor must match the thread
+    # executor: worker lifecycle (spawn at construction, teardown via the
+    # host's policy.close()) and the delta wire path both ride this
+    # scenario.
     yield (
         "pollux-sharded+process",
         "pollux-sharded",
@@ -102,7 +117,7 @@ def _scenarios() -> Iterator[Scenario]:
         trace,
     )
     # Goodput-utility autoscaling exercises the cadenced decide_resize
-    # dispatch (the simulator and host must agree on its schedule too).
+    # dispatch (pacing must not move its schedule either).
     yield (
         "pollux+autoscale",
         "pollux",
@@ -116,7 +131,7 @@ def _scenarios() -> Iterator[Scenario]:
 
 
 def _make_policy(policy: str, cluster: ClusterSpec, kwargs: Dict[str, object]):
-    """Fresh registry-constructed policy (one per host, identical seeds).
+    """Fresh registry-constructed policy (one per run, identical seeds).
 
     Built through ``make_scheduler`` so every scenario gets the benchmark
     scale's tuning (Pollux GA budget, Optimus GPU cap) — the kwargs
@@ -160,49 +175,68 @@ def _make_policy(policy: str, cluster: ClusterSpec, kwargs: Dict[str, object]):
     return make_scheduler(policy, cluster, seed=0)
 
 
+def _replay(policy, cluster, trace, config, compression: float):
+    """One replay of ``trace``; returns (result, host, wall seconds)."""
+    host = PolicyHost(policy, ReplayBackend(cluster, trace, config, compression))
+    t0 = time.perf_counter()
+    result = host.run()
+    return result, host, time.perf_counter() - t0
+
+
 def run_bench() -> Dict[str, object]:
     sim_config = SimConfig(seed=1001, max_hours=SCALE.max_hours)
     runs: Dict[str, object] = {}
-    agree = True
     for label, policy, kwargs, cluster, trace in _scenarios():
-        t0 = time.perf_counter()
-        sim_result = Simulator(
-            cluster, _make_policy(policy, cluster, kwargs), trace, sim_config
-        ).run()
-        sim_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        host = PolicyHost(
+        unpaced, host, unpaced_s = _replay(
             _make_policy(policy, cluster, kwargs),
-            ReplayBackend(cluster, trace, sim_config),
+            cluster,
+            trace,
+            sim_config,
+            float("inf"),
         )
-        host_result = host.run()
-        host_s = time.perf_counter() - t0
-        sim_digest = decision_digest(sim_result)
-        host_digest = decision_digest(host_result)
+        paced, _, paced_s = _replay(
+            _make_policy(policy, cluster, kwargs),
+            cluster,
+            trace,
+            sim_config,
+            PACED_COMPRESSION,
+        )
+        digest = decision_digest(unpaced)
+        paced_digest = decision_digest(paced)
+        summary = host.metrics.summary()
         runs[label] = {
-            "simulator_digest": sim_digest,
-            "host_digest": host_digest,
-            "match": sim_digest == host_digest,
-            "simulator_wall_s": round(sim_s, 3),
-            "host_wall_s": round(host_s, 3),
-            "avg_jct_hours": round(sim_result.avg_jct() / 3600.0, 6),
-            "host_rounds": host.metrics.summary()["rounds"],
-            "host_mean_latency_s": round(host.metrics.summary()["mean_latency_s"], 6),
+            "digest": digest,
+            "paced_digest": paced_digest,
+            "match": digest == paced_digest,
+            "unpaced_wall_s": round(unpaced_s, 3),
+            "paced_wall_s": round(paced_s, 3),
+            "avg_jct_hours": round(unpaced.avg_jct() / 3600.0, 6),
+            "host_rounds": summary["rounds"],
+            "host_mean_latency_s": round(summary["mean_latency_s"], 6),
         }
-        agree = agree and sim_digest == host_digest
-    return {"scale": SCALE.name, "agree": agree, "runs": runs}
+    thread, process = (runs[label]["digest"] for label in EXECUTOR_PAIR)
+    executors_agree = thread == process
+    return {
+        "scale": SCALE.name,
+        "paced_compression": PACED_COMPRESSION,
+        "executors_agree": executors_agree,
+        "agree": executors_agree and all(r["match"] for r in runs.values()),
+        "runs": runs,
+    }
 
 
 def _print_report(data: Dict[str, object]) -> None:
-    print_header("Host agreement: PolicyHost/ReplayBackend vs Simulator")
+    print_header("Host agreement: paced vs unpaced replay, thread vs process")
     for label, run in data["runs"].items():
         status = "MATCH   " if run["match"] else "DIVERGED"
         print(
-            f"{label:20s} {status} sim {run['simulator_wall_s']:7.2f}s  "
-            f"host {run['host_wall_s']:7.2f}s  "
+            f"{label:22s} {status} unpaced {run['unpaced_wall_s']:7.2f}s  "
+            f"paced {run['paced_wall_s']:7.2f}s  "
             f"rounds {run['host_rounds']:4d}  "
-            f"digest {run['simulator_digest'][:12]}"
+            f"digest {run['digest'][:12]}"
         )
+    executors = "MATCH" if data["executors_agree"] else "DIVERGED"
+    print(f"pollux-sharded thread vs process executor: {executors}")
     verdict = "bit-for-bit agreement" if data["agree"] else "DIGEST DIVERGENCE"
     print(f"=> {verdict} across {len(data['runs'])} scenarios")
 
@@ -212,9 +246,12 @@ def test_host_agreement() -> None:
     _print_report(data)
     for label, run in data["runs"].items():
         assert run["match"], (
-            f"{label}: replay host diverged from the simulator "
-            f"({run['host_digest'][:12]} vs {run['simulator_digest'][:12]})"
+            f"{label}: paced replay diverged from the unpaced run "
+            f"({run['paced_digest'][:12]} vs {run['digest'][:12]})"
         )
+    assert data["executors_agree"], (
+        "pollux-sharded: process executor diverged from the thread executor"
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

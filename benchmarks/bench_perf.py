@@ -59,7 +59,7 @@ from repro.core.throughput import (
 from repro.sim import SimConfig, Simulator, decision_digest
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace
 
-from benchmarks.common import SCALE, print_header
+from benchmarks.common import SCALE, load_baseline, print_header
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -313,7 +313,7 @@ def bench_sim(
     t0 = time.perf_counter()
     result = sim.run()
     wall = time.perf_counter() - t0
-    cache = sim.scheduler.sched.surface_cache
+    cache = sim.policy.sched.surface_cache
     out: Dict[str, object] = {
         "wall_s": round(wall, 3),
         "decision_digest": decision_digest(result),
@@ -417,15 +417,11 @@ def _print_report(data: Dict[str, object]) -> None:
         )
 
 
-def _check_baseline(data: Dict[str, object]) -> int:
-    """Compare against the committed baseline; return a process exit code."""
-    if not BASELINE_PATH.exists():
-        print(f"no baseline at {BASELINE_PATH}; skipping check")
-        return 0
-    baseline = json.loads(BASELINE_PATH.read_text())
-    entry = baseline.get(str(data["scale"]))
+def _check_baseline(
+    data: Dict[str, object], entry: Optional[Dict[str, object]]
+) -> int:
+    """Compare against a baseline entry; return a process exit code."""
     if entry is None:
-        print(f"baseline has no entry for scale={data['scale']}; skipping check")
         return 0
     base_ms = float(entry["sched_round_ms"])
     now_ms = float(data["sched_round_ms"])
@@ -519,6 +515,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     data = run_bench()
     _print_report(data)
+    check = "--check" in argv
+    baseline = load_baseline(BASELINE_PATH, str(data["scale"])) if check else None
     out_path = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_perf.json"))
     existing: Dict[str, object] = {}
     if out_path.exists():
@@ -529,8 +527,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     existing[str(data["scale"])] = data
     out_path.write_text(json.dumps(existing, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
-    if "--check" in argv:
-        return _check_baseline(data)
+    if check:
+        return _check_baseline(data, baseline)
     return 0
 
 

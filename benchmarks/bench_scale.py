@@ -80,6 +80,7 @@ from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, TraceConfig, generate_trace
 
 from benchmarks.bench_perf import _calibration_ms
+from benchmarks.common import load_baseline
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
@@ -521,7 +522,9 @@ def run_parity(seed: int = 1) -> Dict[str, object]:
 # Baseline check
 # ----------------------------------------------------------------------
 
-def _check_sweep(data: Dict[str, object]) -> int:
+def _check_sweep(
+    data: Dict[str, object], entry: Optional[Dict[str, object]]
+) -> int:
     """Regression + acceptance gates; returns a process exit code."""
     exit_code = 0
     for point in data["points"]:
@@ -556,16 +559,7 @@ def _check_sweep(data: Dict[str, object]) -> int:
                 "a clean round"
             )
             exit_code = 1
-    if not BASELINE_PATH.exists():
-        print(f"no baseline at {BASELINE_PATH}; skipping timing check")
-        return exit_code
-    baseline = json.loads(BASELINE_PATH.read_text())
-    entry = baseline.get(str(data["preset"]))
     if entry is None:
-        print(
-            f"baseline has no entry for preset={data['preset']}; "
-            "skipping timing check"
-        )
         return exit_code
     base_points = {
         (p["total_gpus"], p["num_jobs"]): p for p in entry["points"]
@@ -675,9 +669,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     preset = _PRESETS[args.scale]
     data = run_sweep(preset, execution=args.execution)
+    baseline = load_baseline(BASELINE_PATH, preset.name) if args.check else None
     _merge_out(preset.name, data)
     if args.check:
-        return _check_sweep(data)
+        return _check_sweep(data, baseline)
     # Digest divergence is a correctness bug, not a perf regression:
     # fail even without --check.
     if any(p.get("digest_match") is False for p in data["points"]):

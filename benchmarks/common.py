@@ -15,8 +15,10 @@ to run the full-scale configuration, ``REPRO_BENCH_SCALE=smoke`` for a
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import repro.policy
@@ -32,6 +34,7 @@ __all__ = [
     "run_policy",
     "run_all_policies",
     "print_header",
+    "load_baseline",
 ]
 
 
@@ -232,3 +235,18 @@ def print_header(title: str, scale: BenchScale = SCALE) -> None:
         f"GA {scale.ga_population}x{scale.ga_generations}, "
         f"seeds={list(scale.seeds)}]"
     )
+
+
+def load_baseline(path: Path, key: str) -> Optional[Dict[str, object]]:
+    """The ``key`` entry of a committed baseline file, or None if absent.
+
+    ``--check`` gates read it before writing their fresh result: run from
+    the repo root, the default output path is the baseline file itself.
+    """
+    if not path.exists():
+        print(f"no baseline at {path}; skipping check")
+        return None
+    entry = json.loads(path.read_text()).get(key)
+    if entry is None:
+        print(f"baseline {path} has no entry for {key!r}; skipping check")
+    return entry

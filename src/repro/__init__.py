@@ -10,18 +10,19 @@ Public API overview:
   PolluxAgent, PolluxSched, the genetic algorithm, cloud auto-scaling.
 - :mod:`repro.cluster` — nodes, cluster specs, allocation matrices.
 - :mod:`repro.workload` — the Table 1 model zoo and trace generation.
-- :mod:`repro.sim` — the discrete-time cluster simulator.
+- :mod:`repro.sim` — the discrete-time cluster simulator: the
+  ``ClusterEngine`` mechanism and ``Simulator``, a facade that replays a
+  trace through :mod:`repro.host`'s dispatch loop.
 - :mod:`repro.policy` — the Policy API v1: Pollux + Tiresias /
   Optimus+Oracle / Or et al. behind one event-driven interface, plus the
   string-keyed registry (``repro.policy.create("pollux", ...)``).
-- :mod:`repro.host` — the wall-clock host: ``PolicyHost`` drives any
-  registered policy in real time over live (``ThreadedBackend``) or
-  replayed (``ReplayBackend``) cluster state.
+- :mod:`repro.host` — the one dispatch loop: ``PolicyHost`` drives any
+  registered policy over live (``ThreadedBackend``) or replayed
+  (``ReplayBackend``) cluster state, in real or simulated time.
 - :mod:`repro.shard` — cell-partitioned sharded scheduling
   (``pollux-sharded``) for 10k-GPU / 5k-job scale.
 - :mod:`repro.service` — scheduling-as-a-service: the multi-tenant HTTP
   front-end + Prometheus ``/metrics`` on top of a running host.
-- :mod:`repro.schedulers` — deprecated shims over :mod:`repro.policy`.
 - :mod:`repro.training` — numpy data-parallel training substrate with real
   gradient-noise-scale measurement and AdaScale SGD.
 
@@ -29,7 +30,7 @@ Start at ``README.md`` (overview, quickstart, headline numbers); the
 operator guide for running the service is ``docs/operating.md``.
 """
 
-from . import cluster, core, policy, schedulers, sim, workload
+from . import cluster, core, policy, sim, workload
 
 __version__ = "1.0.0"
 
@@ -37,7 +38,6 @@ __all__ = [
     "cluster",
     "core",
     "policy",
-    "schedulers",
     "sim",
     "workload",
     "__version__",

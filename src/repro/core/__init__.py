@@ -21,12 +21,6 @@ from .genetic import (
 )
 from .goldensection import golden_section_search, golden_section_search_int
 from .goodput import BatchSizeLimits, GoodputModel, batch_size_grid
-from .rackaware import (
-    RackProfileEntry,
-    RackThroughputModel,
-    RackThroughputParams,
-    fit_rack_throughput_params,
-)
 from .sched import PolluxSched, PolluxSchedConfig, SchedJobInfo, job_weight
 from .speedup import (
     best_batch_size_table,
@@ -77,10 +71,6 @@ __all__ = [
     "BatchSizeLimits",
     "GoodputModel",
     "batch_size_grid",
-    "RackProfileEntry",
-    "RackThroughputModel",
-    "RackThroughputParams",
-    "fit_rack_throughput_params",
     "PolluxSched",
     "PolluxSchedConfig",
     "SchedJobInfo",

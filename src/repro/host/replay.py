@@ -1,19 +1,18 @@
 """ReplayBackend: a recorded trace replayed on compressed wall-clock time.
 
-Drives the same :class:`~repro.sim.engine.ClusterEngine` mechanism the
-discrete-time simulator runs, but paced by the
-:class:`~repro.host.service.PolicyHost` loop instead of a simulated-time
-loop: each engine tick of ``config.tick_seconds`` virtual seconds takes
-``tick_seconds / compression`` wall seconds (``compression=inf``, the
-default, replays as fast as the policy can decide — the deterministic-test
-mode the ``host-smoke`` CI job runs).
+Drives a :class:`~repro.sim.engine.ClusterEngine` for the
+:class:`~repro.host.service.PolicyHost` loop: each engine tick of
+``config.tick_seconds`` virtual seconds takes ``tick_seconds /
+compression`` wall seconds.  ``compression=inf``, the default, replays as
+fast as the policy can decide; that is what :class:`repro.sim.Simulator`
+runs, so a simulation and an unpaced replay are the same code path.
 
-Because the engine, the dispatch helpers, and the cadence configuration
-are all shared with the simulator, a replay reproduces the simulator's
-decision stream **bit-for-bit** on the same trace and seed: the same
+Pacing only sleeps between ticks, so a finite compression makes the same
+decisions as an unpaced replay of the same trace and seed: the same
 snapshot-build schedule, agent reports only for ``needs_agent`` policies,
 the same observation-noise RNG stream, the same restart accounting.
-``tests/test_host.py`` pins this digest-for-digest.
+``tests/test_host.py`` and ``benchmarks/bench_host_agreement.py`` pin
+this digest-for-digest.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ class ReplayBackend:
         trace: The recorded submissions (:class:`~repro.workload.trace.
             JobSpec` list), replayed at their recorded times.
         config: Simulator-shaped run parameters (tick size, noise seeds,
-            restart delay, ``max_hours`` cap); sharing :class:`~repro.sim.
-            SimConfig` is what makes replays comparable to simulations.
+            restart delay, ``max_hours`` cap).
         compression: Virtual seconds replayed per wall-clock second.
             ``inf`` (default) never sleeps; ``3600.0`` replays an hour of
             trace per second; ``1.0`` is real time.
@@ -74,7 +72,7 @@ class ReplayBackend:
     # -- lifecycle ------------------------------------------------------
 
     def host_config(self) -> HostConfig:
-        """Cadences matching this replay's SimConfig (simulator parity)."""
+        """Cadences taken from this replay's SimConfig."""
         cfg = self.config
         return HostConfig(
             scheduling_interval=cfg.scheduling_interval,
@@ -128,8 +126,8 @@ class ReplayBackend:
         the engine's event sink — the same path a natural completion
         takes.  Not-yet-admitted trace jobs cannot be cancelled (the
         replay trace is the recorded ground truth); note that any cancel
-        perturbs the decision stream, so replays being digest-compared to
-        a simulator run must not cancel.
+        perturbs the decision stream, so replays being digest-compared
+        must not cancel.
         """
         eng = self.engine
         for job in eng._active:
@@ -158,21 +156,21 @@ class ReplayBackend:
     def advance(self, until: float) -> None:
         """Step engine ticks until host time ``until`` (or an idle gap).
 
-        Mirrors the simulator's tick body exactly: observe/advance (with
-        profiling gated on the policy's live ``needs_agent``), completion
-        events, timeline sample, clock, admission.  Returns early at an
-        idle gap of a whole tick or more so the host can fast-forward its
-        timers, exactly like the simulator's idle skip.
+        Each tick is :meth:`~repro.sim.engine.ClusterEngine.run_one_tick`
+        (observe/advance with profiling gated on the policy's
+        ``needs_agent``, completion events, timeline sample, clock,
+        admission).  Returns early at an idle gap of a whole tick or more
+        so the host can fast-forward its timers.
         """
         eng = self.engine
         cfg = self.config
         host = self._host
+        profile = host.policy.capabilities.needs_agent
         deadline = self.deadline()
         # The host loop checked the deadline before this round (with the
-        # pre-fast-forward clock, exactly like the simulator's loop-top
-        # check), so the round's first tick is exempt here — a tick
-        # reached by skipping an idle gap past the deadline still runs
-        # once, matching the simulator bit-for-bit.
+        # pre-fast-forward clock), so the round's first tick is exempt
+        # here: a tick reached by skipping an idle gap past the deadline
+        # still runs once.
         first_tick = True
         while eng.now < until:
             if host.stopping:
@@ -185,10 +183,7 @@ class ReplayBackend:
                 if eng.idle_gap_ticks() >= 1:
                     break  # host fast-forwards and re-aligns its timers
             self._timeline.append(
-                eng.run_one_tick(
-                    host.policy.capabilities.needs_agent,
-                    float(host.policy.last_utility),
-                )
+                eng.run_one_tick(profile, float(host.policy.last_utility))
             )
             self._node_seconds += eng.cluster.num_nodes * cfg.tick_seconds
             first_tick = False

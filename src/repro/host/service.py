@@ -1,22 +1,22 @@
-"""PolicyHost: the wall-clock scheduling service driving the Policy API.
+"""PolicyHost: the one dispatch loop driving the Policy API.
 
-The service owns the dispatch loop the paper's deployed scheduler runs
+The host owns the dispatch loop the paper's deployed scheduler runs
 (Sec. 5): at a fixed scheduling cadence (and, for autoscaling policies, a
-resize cadence) it builds frozen snapshot views of the live cluster state,
+resize cadence) it builds frozen snapshot views of the cluster state,
 invokes the policy, and applies the returned decisions through a
 :class:`~repro.host.backend.ClusterBackend`.  It honors
-:class:`~repro.policy.base.PolicyCapabilities` exactly like the simulator
-does — agent reports are attached to snapshots only for ``needs_agent``
-policies, ``decide_resize`` fires on the declared cadence before the same
-round's scheduling event, batch-size re-tuning runs on the agent cadence
-for ``adapts_batch_size`` policies — because both hosts share the dispatch
-helpers in :mod:`repro.policy.dispatch`.
+:class:`~repro.policy.base.PolicyCapabilities` with the dispatch helpers in
+:mod:`repro.policy.dispatch`: agent reports are attached to snapshots only
+for ``needs_agent`` policies, ``decide_resize`` fires on the declared
+cadence before the same round's scheduling event, and batch-size
+re-tuning runs on the agent cadence for ``adapts_batch_size`` policies.
 
-Determinism contract: driven by a :class:`~repro.host.replay.ReplayBackend`
-on a recorded trace, the host reproduces the discrete-time simulator's
-decision stream **bit-for-bit** (same snapshot-build schedule, same
-report-call schedule, same RNG streams); ``tests/test_host.py`` and the
-``host-smoke`` CI job pin this.  Driven by a
+It is the repo's only dispatch loop.  Driven by a
+:class:`~repro.host.replay.ReplayBackend` at infinite compression it *is*
+the discrete-time simulator (:class:`repro.sim.Simulator` is a facade
+over exactly that), whose decision digests ``BENCH_perf.json`` pins;
+paced replay at a finite compression makes the same decisions (pinned by
+``tests/test_host.py`` and the ``host-smoke`` CI job).  Driven by a
 :class:`~repro.host.threaded.ThreadedBackend`, the same policy object
 schedules goodput-model-driven worker jobs advancing asynchronously in
 real time.
@@ -50,11 +50,11 @@ class HostConfig:
     Defaults follow the paper's deployment (Sec. 5.1): schedule every 60 s,
     let agents re-tune batch sizes every 30 s.  ``batch_tuning`` /
     ``tuning_points_per_octave`` configure the shared tuning helper
-    exactly like :class:`~repro.sim.SimConfig` does for the simulator.
+    exactly like :class:`~repro.sim.SimConfig` does for a simulation.
     When constructed without an explicit config, the host asks the backend
     for its preferred cadences (:meth:`~repro.host.backend.ClusterBackend.
-    host_config`) — the replay backend derives them from its ``SimConfig``
-    so replays match the simulator by construction.
+    host_config`) — the replay backend derives them from its
+    ``SimConfig``.
     """
 
     scheduling_interval: float = 60.0
@@ -162,6 +162,9 @@ class PolicyHost:
     ``drain()`` lets the backend run dry first.  ``host.metrics`` holds
     per-round :class:`RoundMetrics`; ``host.metrics.summary()`` aggregates
     them.
+
+    ``policy`` must be a :class:`~repro.policy.base.Policy`; anything else
+    raises ``TypeError``.
     """
 
     def __init__(
@@ -170,6 +173,12 @@ class PolicyHost:
         backend: ClusterBackend,
         config: Optional[HostConfig] = None,
     ):
+        if not isinstance(policy, Policy):
+            raise TypeError(
+                "PolicyHost needs a repro.policy.Policy, got "
+                f"{type(policy).__name__}; build one with "
+                "repro.policy.create(...) or subclass repro.policy.Policy"
+            )
         self.policy = policy
         self.backend = backend
         self.config = config if config is not None else backend.host_config()
@@ -189,7 +198,7 @@ class PolicyHost:
     def dispatch_event(self, kind: str, now: float, job) -> None:
         """Relay a backend lifecycle event to the policy (see
         :func:`~repro.policy.dispatch.relay_job_event`: report-free
-        snapshots, the same relay code path the simulator uses)."""
+        snapshots)."""
         relay_job_event(self.policy, kind, now, job)
 
     # ------------------------------------------------------------------
@@ -199,10 +208,9 @@ class PolicyHost:
     def _dispatch_round(self) -> None:
         """Fire every due dispatch event at the current host time.
 
-        Event order matches the simulator's tick: ``decide_resize`` (if
-        due) before ``schedule`` (if due) before the agent batch-tuning
-        cadence; a fresh snapshot state is built per event.  Runs under
-        the backend's dispatch lock.
+        Event order: ``decide_resize`` (if due) before ``schedule`` (if
+        due) before the agent batch-tuning cadence; a fresh snapshot state
+        is built per event.  Runs under the backend's dispatch lock.
         """
         policy = self.policy
         backend = self.backend
@@ -233,9 +241,7 @@ class PolicyHost:
             request = policy.decide_resize(now, state)
             if request is not None:
                 backend.resize(int(request.num_nodes), request.grow_node_spec)
-            # Re-read the cadence after the decision (capabilities may be
-            # lifted live from adapted legacy objects).
-            self._next_autoscale = now + policy.capabilities.autoscale_interval
+            self._next_autoscale = now + caps.autoscale_interval
 
         tuned_this_round = False
         if now >= self._next_schedule:
@@ -290,10 +296,10 @@ class PolicyHost:
         """
         backend = self.backend
         policy = self.policy
+        autoscales = policy.capabilities.autoscales
         backend.start(self)
         try:
             while not self._stop.is_set():
-                caps = policy.capabilities
                 now = backend.now()
                 if now >= backend.deadline():
                     break
@@ -301,8 +307,7 @@ class PolicyHost:
                     if backend.finite or self._drain.is_set():
                         break
                 # An idle trace-replay fast-forwards to the next arrival;
-                # every periodic timer advances past the skipped gap
-                # (mirroring the simulator's idle fast-forward).
+                # every periodic timer advances past the skipped gap.
                 skipped = backend.idle_fast_forward()
                 if skipped > 0:
                     now = backend.now()
@@ -312,7 +317,7 @@ class PolicyHost:
                 with backend.dispatch_lock():
                     self._dispatch_round()
                 until = min(self._next_schedule, self._next_agent)
-                if caps.autoscales:
+                if autoscales:
                     until = min(until, self._next_autoscale)
                 backend.advance(until)
         finally:

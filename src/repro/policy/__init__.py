@@ -3,11 +3,13 @@
 This package is the repo's policy/mechanism seam (in the spirit of Blox,
 Agarwal et al.): scheduling *policies* consume frozen snapshot views and
 return decisions; *hosts* own the event loop, job runtime state,
-profiling, and the application of decisions.  There are two hosts — the
-discrete-time simulator (:mod:`repro.sim`) and the wall-clock service
-(:mod:`repro.host`) — sharing the dispatch helpers in
-:mod:`repro.policy.dispatch`, so a policy written once runs on both (and
-on a recorded trace their decision streams agree bit-for-bit).  The four paper policies — Pollux and the
+profiling, and the application of decisions.  There is one host loop,
+:class:`repro.host.PolicyHost`, using the dispatch helpers in
+:mod:`repro.policy.dispatch`; it runs a policy over live jobs
+(``ThreadedBackend``) or a replayed trace (``ReplayBackend``), and the
+discrete-time simulator (:class:`repro.sim.Simulator`) is that replay at
+infinite time compression.  The host accepts only :class:`Policy`
+instances.  The four paper policies — Pollux and the
 Tiresias / Optimus+Oracle / Or-et-al baselines — plus both autoscaling
 behaviors (goodput-utility and throughput-marginal) all live behind this
 one interface, constructible by registry name::
@@ -76,8 +78,8 @@ Writing a new policy
 Decision-stream guarantees
 --------------------------
 
-The API reorders *interfaces*, not RNG streams: hosts build snapshots at
-exactly the dispatch events (reports only for ``needs_agent`` policies),
+The API reorders *interfaces*, not RNG streams: the host builds snapshots
+at exactly the dispatch events (reports only for ``needs_agent`` policies),
 so default-config simulations through this API are bit-for-bit identical
 to the pre-API decision streams — the legacy-engine digests in
 ``BENCH_perf.json`` are CI-gated through registry-constructed policies.
@@ -90,7 +92,6 @@ from .base import (
     PolicyCapabilities,
     ScheduleDecision,
 )
-from .compat import LegacyAutoscalerBridge, LegacySchedulerAdapter, as_policy
 from .dispatch import (
     apply_decision,
     build_cluster_state,
@@ -128,9 +129,6 @@ __all__ = [
     "available",
     "describe",
     "canonical",
-    "as_policy",
-    "LegacySchedulerAdapter",
-    "LegacyAutoscalerBridge",
     "PolluxPolicy",
     "ShardedPolicy",
     "TiresiasPolicy",

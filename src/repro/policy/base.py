@@ -2,9 +2,9 @@
 
 This is the seam between scheduling *policy* and cluster *mechanism* (in the
 Blox sense): a policy consumes frozen :mod:`~repro.policy.views` snapshots
-and returns a :class:`ScheduleDecision`; the host (today the discrete-time
-simulator, tomorrow a wall-clock service) owns the event loop, the job
-runtime state, and the application of decisions.
+and returns a :class:`ScheduleDecision`; the host
+(:class:`repro.host.PolicyHost`, which also runs every simulation) owns
+the event loop, the job runtime state, and the application of decisions.
 
 A policy declares what it needs from its host in a
 :class:`PolicyCapabilities` descriptor instead of loose class attributes,
@@ -165,13 +165,12 @@ class Policy:
     def close(self) -> None:
         """Release any resources the policy holds.  Default: no-op.
 
-        Hosts call this once their run ends (simulator and wall-clock
-        service alike), so policies owning threads, worker processes, or
-        file handles — e.g. ``pollux-sharded``'s cell executor — can shut
-        them down deterministically instead of leaking until GC.  Must be
-        idempotent; a policy may be scheduled again after close (hosts do
-        not, but tooling that reuses a policy object across runs does),
-        in which case it revives what it needs.
+        The host calls this once its run ends, so policies owning threads,
+        worker processes, or file handles — e.g. ``pollux-sharded``'s cell
+        executor — can shut them down deterministically instead of leaking
+        until GC.  Must be idempotent; a policy may be scheduled again
+        after close (the host does not, but tooling that reuses a policy
+        object across runs does), in which case it revives what it needs.
         """
 
     # ------------------------------------------------------------------

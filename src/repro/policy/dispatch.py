@@ -1,8 +1,8 @@
-"""Shared dispatch helpers: one code path for every host of the Policy API.
+"""Dispatch helpers: the contract a host of the Policy API owes a policy.
 
-A *host* (the discrete-time simulator, the wall-clock :mod:`repro.host`
-service) owns an event loop and job runtime state; what it owes the policy
-is a fixed dispatch contract:
+The host (:class:`repro.host.PolicyHost`, which also runs every
+simulation) owns the event loop and job runtime state; what it owes the
+policy is a fixed dispatch contract:
 
 - snapshots are built exactly at dispatch events, with agent reports
   attached only for policies whose capabilities declare ``needs_agent``
@@ -14,11 +14,9 @@ is a fixed dispatch contract:
 - batch-size re-tuning (for ``adapts_batch_size`` policies) runs each
   job's agent at the host's agent cadence.
 
-These helpers were extracted from the simulator's dispatch loop so that
-every host shares them *by construction* — the host-agreement guarantee
-(``tests/test_host.py``, ``benchmarks/bench_host_agreement.py``) pins that
-the wall-clock replay host reproduces the simulator's decision streams
-bit-for-bit, and sharing this code path is what makes that hold.
+Tools that drive a :class:`~repro.sim.engine.ClusterEngine` by hand (a
+test stepping the engine tick by tick) call the same helpers, so they see
+the contract the host implements.
 
 Jobs are duck-typed against :class:`repro.sim.job.SimJob` (see
 :func:`~repro.policy.views.snapshot_job` for the attribute shape).
@@ -46,8 +44,8 @@ def relay_job_event(policy, kind: str, now: float, job) -> None:
     ``kind`` is ``"submitted"`` or ``"completed"``.  Lifecycle snapshots
     are report-free by contract — agent reports are attached only at
     scheduling/autoscale dispatch events (the report-call schedule is part
-    of the decision stream) — and both hosts relay through this one
-    helper so the event contract cannot drift between them.
+    of the decision stream) — and every backend's events reach the policy
+    through this one helper.
     """
     if kind == "submitted":
         policy.on_job_submitted(now, snapshot_job(job))
@@ -106,7 +104,7 @@ def tune_batch_sizes(
 ) -> None:
     """Let each running adaptive job's agent re-tune its batch size.
 
-    ``batch_tuning`` follows :class:`~repro.sim.simulator.SimConfig`:
+    ``batch_tuning`` follows :class:`~repro.sim.SimConfig`:
     ``"table"`` is the O(1) argmax-table lookup, ``"golden"``/``"search"``
     the golden-section maximization.  Jobs whose agents cannot tune yet
     (no fitted model) keep their current batch size.

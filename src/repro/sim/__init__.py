@@ -1,4 +1,12 @@
-"""Discrete-time cluster simulation (Sec. 5.3)."""
+"""Discrete-time cluster simulation (Sec. 5.3).
+
+:class:`ClusterEngine` is the mechanism: job state, admission, noisy
+profiling, ground-truth progress, allocation and resize mechanics.
+:class:`Simulator` runs a trace on it through the repo's one dispatch
+loop, :class:`repro.host.PolicyHost` over :class:`repro.host.ReplayBackend`
+at infinite time compression; :func:`decision_digest` fingerprints the
+resulting decision stream.
+"""
 
 from .engine import ClusterEngine
 from .job import JobPhase, SimJob
@@ -10,7 +18,7 @@ from .metrics import (
     decision_digest,
 )
 from .simconfig import SimConfig
-from .simulator import ClusterAutoscaler, Scheduler, Simulator
+from .simulator import Simulator
 
 __all__ = [
     "JobPhase",
@@ -20,9 +28,7 @@ __all__ = [
     "TimelineSample",
     "average_summaries",
     "decision_digest",
-    "ClusterAutoscaler",
     "ClusterEngine",
-    "Scheduler",
     "SimConfig",
     "Simulator",
 ]

@@ -1,4 +1,4 @@
-"""Cluster mechanism layer shared by the simulator and the replay host.
+"""Cluster mechanism layer behind trace replay (and so every simulation).
 
 :class:`ClusterEngine` owns everything *mechanical* about driving a
 recorded workload trace against a cluster — the Blox-style mechanism side
@@ -17,18 +17,14 @@ of the policy/mechanism split:
 
 What it deliberately does *not* own is policy dispatch: when scheduling,
 autoscaling, and batch-size-tuning events fire is the host's job.  The
-discrete-time :class:`~repro.sim.simulator.Simulator` subclasses the
-engine and adds the paper's fixed-interval dispatch loop; the wall-clock
-:class:`~repro.host.PolicyHost` drives a standalone engine through
-:class:`~repro.host.ReplayBackend` on real time.  Because both hosts run
-this one mechanism code path, the replay host reproduces the simulator's
-decision streams bit-for-bit on the same trace (pinned by
-``tests/test_host.py`` and the ``host-smoke`` CI job).
+one dispatch loop is :class:`~repro.host.PolicyHost`; it drives this
+engine through :class:`~repro.host.ReplayBackend`, at infinite time
+compression for :class:`~repro.sim.simulator.Simulator` runs or paced
+against the wall clock.
 
 Lifecycle events (admission/completion) are reported through
-:attr:`ClusterEngine.event_sink` at the exact points the pre-refactor
-simulator fired them, so hosts can relay them to the policy without
-perturbing the event schedule.
+:attr:`ClusterEngine.event_sink` at the exact points they occur, so the
+host can relay them to the policy without perturbing the event schedule.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..cluster.spec import ClusterSpec, NodeSpec
-from ..policy.dispatch import tune_batch_sizes
 from ..workload.trace import JobSpec
 from .job import SimJob
 from .metrics import TimelineSample
@@ -178,8 +173,7 @@ class ClusterEngine:
         # Submission-time-ordered bookkeeping: `self.jobs` is sorted by
         # (submission_time, name), so admission is a pointer walk instead
         # of a full rescan each tick, and `_active` drops jobs as they
-        # complete.  active_jobs() remains the stateless scan for external
-        # callers driving the engine manually.
+        # complete.
         self._active: List[SimJob] = []
         self._next_submit_idx = 0
         # Lazily rebuilt (J_active, N) allocation matrix; `_alloc_version`
@@ -204,14 +198,6 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-
-    def active_jobs(self) -> List[SimJob]:
-        """Submitted, unfinished jobs."""
-        return [
-            j
-            for j in self.jobs
-            if j.submission_time <= self.now and not j.complete
-        ]
 
     def pending_submissions(self) -> bool:
         """Whether the trace still holds not-yet-admitted jobs."""
@@ -334,15 +320,6 @@ class ClusterEngine:
             self.config.restart_delay,
         )
 
-    def _tune_batch_sizes(self, jobs: Sequence[SimJob]) -> None:
-        """Let each running Pollux job's agent re-tune its batch size."""
-        cfg = self.config
-        tune_batch_sizes(
-            jobs,
-            batch_tuning=cfg.batch_tuning,
-            points_per_octave=cfg.tuning_points_per_octave,
-        )
-
     # ------------------------------------------------------------------
     # Ground-truth advancement
     # ------------------------------------------------------------------
@@ -402,7 +379,7 @@ class ClusterEngine:
         return completed
 
     def run_one_tick(self, profile: bool, utility: float = 0.0) -> TimelineSample:
-        """One complete engine tick, shared verbatim by both hosts.
+        """One complete engine tick (the replay backend's only tick body).
 
         Sequence (order is part of the decision-stream contract):
         observe/advance (:meth:`step_tick`, emitting completion events),

@@ -217,8 +217,8 @@ def decision_digest(result: SimResult) -> str:
     per-tick utilization/efficiency sample hashes in via exact float
     ``repr``.  Used by the perf CI gate (the legacy engine's digests in
     ``BENCH_perf.json`` must never move) and by the host-agreement check
-    (the wall-clock replay host must reproduce the simulator's stream on
-    the same trace).
+    (a paced replay must reproduce the unpaced stream on the same trace,
+    and the sharded policy's process executor the thread executor's).
     """
     parts: List[tuple] = []
     for r in result.records:

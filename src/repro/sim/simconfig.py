@@ -1,4 +1,4 @@
-"""Shared run configuration for trace-driven hosts (simulator and replay)."""
+"""Run configuration of a trace replay (every simulation is one)."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ __all__ = ["SimConfig"]
 class SimConfig:
     """Simulator parameters (defaults follow Sec. 5.1).
 
-    Consumed by both trace-driven hosts: the discrete-time
-    :class:`~repro.sim.simulator.Simulator` and the wall-clock replay host
-    (:class:`~repro.host.ReplayBackend`), which share the
+    Consumed by :class:`~repro.host.ReplayBackend` (and so by
+    :class:`~repro.sim.simulator.Simulator`, which runs one) and its
     :class:`~repro.sim.engine.ClusterEngine` mechanism layer.
 
     ``batch_tuning`` selects how Pollux jobs re-tune their batch size each

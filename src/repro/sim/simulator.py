@@ -15,19 +15,13 @@ Reproduces the paper's simulator semantics:
   job's slowest allocated node, and agents record each measurement's device
   speed so fitted models project across GPU types.
 
-The simulator is one *host* of the Policy API (:mod:`repro.policy`); the
-wall-clock service in :mod:`repro.host` is the other.  The mechanism layer
-— job state, admission, ground-truth advancement, allocation/resize
-mechanics — lives in the shared :class:`~repro.sim.engine.ClusterEngine`
-base class; this module adds the paper's fixed-interval dispatch loop on
-simulated time.  Dispatch speaks only :class:`~repro.policy.base.Policy` —
-frozen snapshot views in, :class:`~repro.policy.base.ScheduleDecision`
-out, with behavior differences expressed purely through
-:class:`~repro.policy.base.PolicyCapabilities` (no policy-specific
-branches).  Pre-API duck-typed schedulers and autoscaler hooks (the legacy
-:class:`Scheduler` / :class:`ClusterAutoscaler` protocols below) are still
-accepted and wrapped at construction via
-:func:`repro.policy.compat.as_policy`.
+There is one dispatch loop in the repo: :class:`~repro.host.PolicyHost`.
+A simulation is that loop replaying the trace through
+:class:`~repro.host.ReplayBackend` at infinite time compression, so
+:class:`Simulator` is a thin facade that wires the two together.  The
+mechanism (job state, admission, ground-truth advancement, allocation and
+resize mechanics) is :class:`~repro.sim.engine.ClusterEngine`; dispatch
+speaks only :class:`~repro.policy.base.Policy`.
 
 Completion times are interpolated within a tick, so tick granularity does
 not quantize JCTs.
@@ -35,241 +29,58 @@ not quantize JCTs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from ..cluster.spec import ClusterSpec
-from ..policy.base import ScheduleDecision
-from ..policy.compat import as_policy
-from ..policy.dispatch import apply_decision, build_cluster_state, relay_job_event
-from ..policy.views import ClusterState
+from ..policy.base import Policy
 from ..workload.trace import JobSpec
-from .engine import ClusterEngine
 from .job import SimJob
-from .metrics import JobRecord, SimResult
+from .metrics import SimResult
 from .simconfig import SimConfig
 
-__all__ = ["SimConfig", "Scheduler", "ClusterAutoscaler", "Simulator"]
+__all__ = ["SimConfig", "Simulator"]
 
 
-class Scheduler(Protocol):
-    """Legacy duck-typed scheduler interface (pre-Policy-API).
-
-    Superseded by :class:`repro.policy.base.Policy`; still accepted by
-    :class:`Simulator` (wrapped via :mod:`repro.policy.compat`).
-    ``schedule`` returns a mapping from job name to allocation vector for
-    the *active* (submitted, unfinished) jobs; omitted jobs keep their
-    current allocation.  ``adapts_batch_size`` tells the simulator whether
-    jobs should let their PolluxAgent re-tune the batch size (Pollux) or
-    keep the user-fixed batch size (baselines).
-    """
-
-    name: str
-    adapts_batch_size: bool
-    needs_agent: bool
-
-    def schedule(
-        self,
-        now: float,
-        jobs: Sequence[SimJob],
-        cluster: ClusterSpec,
-    ) -> Dict[str, np.ndarray]:
-        ...
-
-
-class ClusterAutoscaler(Protocol):
-    """Legacy cloud auto-scaling hook interface (pre-Policy-API).
-
-    Superseded by autoscaling policies
-    (:meth:`repro.policy.base.Policy.decide_resize`); still accepted via
-    the ``autoscaler=`` argument and bridged onto the Policy API.  An
-    autoscaler may additionally expose a ``grow_node_spec`` attribute (a
-    :class:`~repro.cluster.spec.NodeSpec`): on heterogeneous clusters the
-    simulator then grows with nodes of that spec (a chosen GPU type)
-    instead of cloning the last node.
-    """
-
-    interval: float
-
-    def decide(
-        self,
-        now: float,
-        jobs: Sequence[SimJob],
-        cluster: ClusterSpec,
-        scheduler: Scheduler,
-    ) -> int:
-        """Return the desired number of nodes."""
-        ...
-
-
-class Simulator(ClusterEngine):
+class Simulator:
     """Drives a workload trace through a scheduling policy.
 
-    ``scheduler`` is normally a :class:`repro.policy.base.Policy`
-    (construct one with :func:`repro.policy.create`); legacy duck-typed
-    schedulers — optionally paired with a legacy ``autoscaler`` hook — are
-    wrapped onto the Policy API at construction.  The adapted policy is
-    available as :attr:`policy`; :attr:`scheduler` keeps the object as
-    passed.
+    ``scheduler`` is a :class:`repro.policy.base.Policy` (construct one
+    with :func:`repro.policy.create`); anything else raises ``TypeError``.
+    It is kept as :attr:`policy`.  :attr:`host` is the
+    :class:`~repro.host.PolicyHost` that runs the simulation;
+    :attr:`jobs`, :attr:`cluster` and :attr:`now` read its replay engine.
     """
 
     def __init__(
         self,
         cluster: ClusterSpec,
-        scheduler,
+        scheduler: Policy,
         jobs: Sequence[JobSpec],
         config: SimConfig = SimConfig(),
-        autoscaler: Optional[ClusterAutoscaler] = None,
     ):
-        super().__init__(cluster, jobs, config)
-        self.scheduler = scheduler
-        self.autoscaler = autoscaler
-        #: The dispatch loop speaks only the Policy API; legacy objects
-        #: are adapted here, once, at construction.
-        self.policy = as_policy(
-            scheduler, autoscaler, jobs_provider=lambda: self._active
-        )
-        for job in self.jobs:
-            if not self.policy.capabilities.adapts_batch_size:
-                job.batch_size = float(job.spec.fixed_batch_size)
-        self._next_schedule = 0.0
-        self._next_agent = 0.0
-        self._next_autoscale = 0.0
-        self.event_sink = self._policy_event_sink
+        # Imported here: repro.host imports repro.sim (engine, metrics),
+        # so a module-level import would make the two packages cyclic.
+        from ..host.replay import ReplayBackend
+        from ..host.service import PolicyHost
 
-    def _policy_event_sink(self, kind: str, now: float, job: SimJob) -> None:
-        """Relay engine lifecycle events to the policy (see
-        :func:`~repro.policy.dispatch.relay_job_event`: report-free
-        snapshots, the same relay code path the wall-clock host uses)."""
-        relay_job_event(self.policy, kind, now, job)
+        self.policy = scheduler
+        self.host = PolicyHost(scheduler, ReplayBackend(cluster, jobs, config))
 
-    # ------------------------------------------------------------------
-    # Dispatch helpers
-    # ------------------------------------------------------------------
+    @property
+    def jobs(self) -> List[SimJob]:
+        """Every trace job's runtime state, in submission order."""
+        return self.host.backend.engine.jobs
 
-    def _snapshot_state(self) -> ClusterState:
-        """Frozen policy-facing view of the cluster and active jobs.
+    @property
+    def cluster(self) -> ClusterSpec:
+        """The current (possibly autoscaled) cluster."""
+        return self.host.backend.engine.cluster
 
-        Agent reports are attached only for policies whose capabilities
-        declare ``needs_agent`` — building a report can trigger a
-        (memoized, deterministic) model fit, so the report-call schedule
-        is pinned to dispatch events to keep decision streams exact.
-        """
-        return build_cluster_state(
-            self.cluster, self._active, self.policy.capabilities
-        )
-
-    def _apply_decision(
-        self, decision: ScheduleDecision, jobs: Sequence[SimJob]
-    ) -> None:
-        """Apply one ScheduleDecision: batch sizes, allocations, resize.
-
-        Shared with the wall-clock host via
-        :func:`repro.policy.dispatch.apply_decision` — policy-fixed batch
-        sizes land before the allocations, and a bundled resize request is
-        honored last (only for ``autoscales`` policies).
-        """
-        apply_decision(
-            decision,
-            jobs,
-            self.policy.capabilities,
-            apply_allocations=self._apply_allocations,
-            resize_cluster=self._resize_cluster,
-        )
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Simulated time, in seconds since the trace start."""
+        return self.host.backend.engine.now
 
     def run(self) -> SimResult:
-        """Run to completion (or the max-hours safety cap).
-
-        The tick keeps active jobs in a submission-time-ordered list that
-        admits by pointer and drops jobs as they complete (no full-workload
-        rescans), and computes all cluster-level accounting — node usage,
-        per-type usage, interference detection — as numpy reductions over
-        one ``(J, N)`` allocation matrix that is rebuilt only when an
-        allocation actually changed (see :class:`~repro.sim.engine.
-        ClusterEngine`).
-
-        All policy dispatch goes through the Policy API: capability checks
-        decide *whether* an event fires (autoscale cadence, agent
-        profiling, batch-size tuning), never which concrete policy is
-        running.
-        """
-        cfg = self.config
-        policy = self.policy
-        result = SimResult(scheduler_name=policy.name)
-        max_time = cfg.max_hours * 3600.0
-        self._admit_submitted()
-
-        while self.now < max_time:
-            # Re-read per tick: native policies expose a static descriptor,
-            # but the legacy adapters lift capabilities live from the
-            # wrapped objects (the pre-API loop re-read those attributes at
-            # each dispatch, e.g. a hook adjusting its own interval).
-            caps = policy.capabilities
-            if not self._active:
-                if not self.pending_submissions():
-                    break
-                # Fast-forward to the next submission, advancing every
-                # periodic timer past the idle gap (the autoscaler timer
-                # included — leaving it in the past would be inconsistent
-                # with the other two, although either way it fires at the
-                # first post-idle tick).
-                idle = self.idle_skip()
-                if idle > 0:
-                    result.node_seconds += self.cluster.num_nodes * idle
-                    self._next_schedule = max(self._next_schedule, self.now)
-                    self._next_agent = max(self._next_agent, self.now)
-                    self._next_autoscale = max(self._next_autoscale, self.now)
-                    self._admit_submitted()
-            active = self._active
-
-            if caps.autoscales and self.now >= self._next_autoscale:
-                request = policy.decide_resize(self.now, self._snapshot_state())
-                if request is not None:
-                    self._resize_cluster(
-                        int(request.num_nodes),
-                        grow_with=request.grow_node_spec,
-                    )
-                # Re-read the cadence after the decision (the pre-API loop
-                # read autoscaler.interval here, so a hook that adapts its
-                # own interval inside decide() is honored).
-                self._next_autoscale = (
-                    self.now + policy.capabilities.autoscale_interval
-                )
-
-            # A tick may hit both the scheduling and the agent interval;
-            # batch sizes are re-tuned at most once per tick.
-            tuned_this_tick = False
-            if self.now >= self._next_schedule:
-                decision = policy.schedule(self.now, self._snapshot_state())
-                self._apply_decision(decision, active)
-                self._next_schedule = self.now + cfg.scheduling_interval
-                if caps.adapts_batch_size:
-                    self._tune_batch_sizes(active)
-                    tuned_this_tick = True
-
-            if self.now >= self._next_agent:
-                if caps.adapts_batch_size and not tuned_this_tick:
-                    self._tune_batch_sizes(active)
-                self._next_agent = self.now + cfg.agent_interval
-
-            result.timeline.append(
-                self.run_one_tick(caps.needs_agent, float(policy.last_utility))
-            )
-            result.node_seconds += self.cluster.num_nodes * cfg.tick_seconds
-
-            if not self._active and not self.pending_submissions():
-                break
-
-        result.end_time = self.now
-        for job in self.jobs:
-            result.records.append(JobRecord.from_job(job))
-        # Run is over: let the policy release threads/worker processes.
-        # close() is idempotent and revivable, so a reused policy object
-        # (rare, but tooling does it) keeps working.
-        policy.close()
-        return result
+        """Run to completion (or the ``max_hours`` safety cap)."""
+        return self.host.run()

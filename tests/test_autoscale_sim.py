@@ -3,43 +3,51 @@
 import numpy as np
 
 from repro.cluster import ClusterSpec
+from repro.policy import (
+    ClusterResizeRequest,
+    Policy,
+    PolicyCapabilities,
+    ScheduleDecision,
+)
 from repro.sim import SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec
 
 
-class PinnedScheduler:
-    """Allocates every free GPU of node 0 (plus node 1 when present)."""
+class StepPolicy(Policy):
+    """Pins jobs to nodes 0-1 and resizes to scripted node counts.
 
-    name = "pinned"
-    adapts_batch_size = False
-    needs_agent = False
+    Every job gets all GPUs of node 0 (plus node 1 when present); every
+    ``interval`` seconds the cluster is resized to the count scripted for
+    the current time.
+    """
 
-    def schedule(self, now, jobs, cluster):
+    name = "step"
+
+    def __init__(self, sizes, interval=60.0):
+        self.sizes = sorted(sizes)
+        self.capabilities = PolicyCapabilities(
+            autoscales=True, autoscale_interval=interval
+        )
+        self.decide_times = []
+
+    def schedule(self, now, state):
+        cluster = state.cluster
         allocations = {}
-        for job in jobs:
+        for job in state.jobs:
             alloc = np.zeros(cluster.num_nodes, dtype=np.int64)
             alloc[0] = cluster.nodes[0].num_gpus
             if cluster.num_nodes > 1:
                 alloc[1] = cluster.nodes[1].num_gpus
             allocations[job.name] = alloc
-        return allocations
+        return ScheduleDecision(allocations=allocations)
 
-
-class StepAutoscaler:
-    """Scripted node counts at scripted times."""
-
-    def __init__(self, schedule, interval=60.0):
-        self.schedule = sorted(schedule)
-        self.interval = interval
-        self.decide_times = []
-
-    def decide(self, now, jobs, cluster, scheduler):
+    def decide_resize(self, now, state):
         self.decide_times.append(now)
-        nodes = self.schedule[0][1]
-        for at, count in self.schedule:
+        nodes = self.sizes[0][1]
+        for at, count in self.sizes:
             if now >= at:
                 nodes = count
-        return nodes
+        return ClusterResizeRequest(nodes)
 
 
 def spec(name="job"):
@@ -55,13 +63,11 @@ def spec(name="job"):
 class TestClusterResize:
     def test_grow_adds_capacity(self):
         cluster = ClusterSpec.homogeneous(1, 4)
-        autoscaler = StepAutoscaler([(0.0, 1), (300.0, 3)])
         sim = Simulator(
             cluster,
-            PinnedScheduler(),
+            StepPolicy([(0.0, 1), (300.0, 3)]),
             [spec()],
             SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
         )
         result = sim.run()
         assert result.num_unfinished == 0
@@ -71,13 +77,11 @@ class TestClusterResize:
 
     def test_shrink_restarts_displaced_job(self):
         cluster = ClusterSpec.homogeneous(2, 4)
-        autoscaler = StepAutoscaler([(0.0, 2), (240.0, 1)])
         sim = Simulator(
             cluster,
-            PinnedScheduler(),
+            StepPolicy([(0.0, 2), (240.0, 1)]),
             [spec()],
             SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
         )
         result = sim.run()
         # The job spanned nodes 0-1; dropping node 1 forces a restart.
@@ -86,13 +90,11 @@ class TestClusterResize:
 
     def test_node_seconds_track_resizes(self):
         cluster = ClusterSpec.homogeneous(1, 4)
-        autoscaler = StepAutoscaler([(0.0, 1), (300.0, 4)])
         sim = Simulator(
             cluster,
-            PinnedScheduler(),
+            StepPolicy([(0.0, 1), (300.0, 4)]),
             [spec()],
             SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
         )
         result = sim.run()
         # Cost must be strictly between the all-1-node and all-4-node runs.
@@ -101,13 +103,11 @@ class TestClusterResize:
 
     def test_allocation_vectors_resized(self):
         cluster = ClusterSpec.homogeneous(2, 4)
-        autoscaler = StepAutoscaler([(0.0, 2), (240.0, 4)])
         sim = Simulator(
             cluster,
-            PinnedScheduler(),
+            StepPolicy([(0.0, 2), (240.0, 4)]),
             [spec()],
             SimConfig(seed=0, max_hours=5),
-            autoscaler=autoscaler,
         )
         sim.run()
         assert sim.jobs[0].allocation.shape == (4,)
@@ -128,76 +128,38 @@ class TestPostIdleAutoscale:
             fixed_num_gpus=8,
             fixed_batch_size=512,
         )
-        autoscaler = StepAutoscaler([(0.0, 2)], interval=600.0)
+        policy = StepPolicy([(0.0, 2)], interval=600.0)
         sim = Simulator(
             ClusterSpec.homogeneous(2, 4),
-            PinnedScheduler(),
+            policy,
             [early, late],
             SimConfig(seed=0, max_hours=3 * gap_hours),
-            autoscaler=autoscaler,
         )
         result = sim.run()
-        return sim, autoscaler, result
+        return sim, policy, result
 
     def test_autoscaler_fires_promptly_after_idle(self):
         gap_hours = 4.0
-        sim, autoscaler, result = self._run_with_gap(gap_hours)
+        sim, policy, result = self._run_with_gap(gap_hours)
         assert result.num_unfinished == 0
-        gap_start = max(
-            t for t in autoscaler.decide_times if t < gap_hours * 3600.0
-        )
-        post_idle = [
-            t for t in autoscaler.decide_times if t >= gap_hours * 3600.0
-        ]
+        gap_start = max(t for t in policy.decide_times if t < gap_hours * 3600.0)
+        post_idle = [t for t in policy.decide_times if t >= gap_hours * 3600.0]
         # The idle stretch produced no decide() calls...
         assert gap_start < 0.5 * gap_hours * 3600.0
         # ...and the first post-idle decide happens at the tick the late job
         # is admitted (within one tick of its submission time).
         assert post_idle
-        assert post_idle[0] - gap_hours * 3600.0 <= sim.config.tick_seconds
+        assert post_idle[0] - gap_hours * 3600.0 <= SimConfig().tick_seconds
 
     def test_timer_aligned_with_clock_after_idle(self):
         gap_hours = 4.0
-        sim, autoscaler, _ = self._run_with_gap(gap_hours)
+        sim, policy, _ = self._run_with_gap(gap_hours)
+        interval = policy.capabilities.autoscale_interval
         # After the run, the autoscaler timer must never trail the clock by
         # more than its interval (it would with the pre-fix stale timer
         # semantics if the fast-forward left it in the past).
-        assert sim._next_autoscale >= sim.now - autoscaler.interval
+        assert sim.host._next_autoscale >= sim.now - interval
         # Post-idle decides respect the configured cadence.
-        post_idle = [
-            t for t in autoscaler.decide_times if t >= gap_hours * 3600.0
-        ]
+        post_idle = [t for t in policy.decide_times if t >= gap_hours * 3600.0]
         for a, b in zip(post_idle, post_idle[1:]):
-            assert b - a >= autoscaler.interval
-
-
-class TestLegacyAdapterLiveAttributes:
-    def test_mutated_interval_honored_each_event(self):
-        """Legacy autoscalers that adjust their own cadence mid-run keep
-        that behavior through the compat adapter (the pre-API loop re-read
-        autoscaler.interval after every decide)."""
-
-        class SlowingAutoscaler:
-            interval = 60.0
-
-            def __init__(self):
-                self.decide_times = []
-
-            def decide(self, now, jobs, cluster, scheduler):
-                self.decide_times.append(now)
-                self.interval = 300.0  # back off after the first decision
-                return cluster.num_nodes
-
-        autoscaler = SlowingAutoscaler()
-        cluster = ClusterSpec.homogeneous(2, 4)
-        sim = Simulator(
-            cluster,
-            PinnedScheduler(),
-            [spec()],
-            SimConfig(seed=0, max_hours=0.5),
-            autoscaler=autoscaler,
-        )
-        sim.run()
-        gaps = np.diff(autoscaler.decide_times)
-        assert len(gaps) >= 2
-        assert (gaps >= 300.0).all()
+            assert b - a >= interval

@@ -25,8 +25,13 @@ from repro.core import (
 )
 from repro.core.agent import PolluxAgent
 from repro.core.speedup import SINGLE_NODE
-from repro.policy import PolluxPolicy, TiresiasPolicy
-from repro.sim import SimConfig, SimJob, Simulator
+from repro.policy import (
+    ClusterResizeRequest,
+    PolicyCapabilities,
+    PolluxPolicy,
+    TiresiasPolicy,
+)
+from repro.sim import ClusterEngine, SimConfig, SimJob, Simulator
 from repro.workload import TraceConfig, generate_heterogeneous_workload, generate_trace
 
 
@@ -322,14 +327,10 @@ class TestSimJobTyped:
 
 
 class TestHeterogeneousSimulation:
-    def _run(self, scheduler_factory, cluster, trace, autoscaler=None):
+    def _run(self, scheduler_factory, cluster, trace):
         scheduler = scheduler_factory(cluster)
         sim = Simulator(
-            cluster,
-            scheduler,
-            trace,
-            SimConfig(seed=11, max_hours=40.0),
-            autoscaler=autoscaler,
+            cluster, scheduler, trace, SimConfig(seed=11, max_hours=40.0)
         )
         return sim.run()
 
@@ -358,25 +359,22 @@ class TestHeterogeneousSimulation:
         assert result.num_unfinished == 0
 
     def test_autoscaler_grows_chosen_type(self):
-        """The simulator grows the cluster with the hook's grow_node_spec."""
+        """The simulator grows the cluster with the request's node spec."""
 
-        class GrowOnce:
-            interval = 60.0
-            grow_node_spec = NodeSpec(4, GPU_TYPES["a100"])
+        class GrowOnce(TiresiasPolicy):
+            capabilities = PolicyCapabilities(
+                autoscales=True, autoscale_interval=60.0
+            )
 
-            def decide(self, now, jobs, cluster, scheduler):
-                return 3
+            def decide_resize(self, now, state):
+                return ClusterResizeRequest(3, NodeSpec(4, GPU_TYPES["a100"]))
 
         cluster = ClusterSpec.heterogeneous((("t4", 2, 4),))
         trace = generate_trace(
             TraceConfig(num_jobs=2, duration_hours=0.2, seed=4, max_gpus=8)
         )
         sim = Simulator(
-            cluster,
-            TiresiasPolicy(),
-            trace,
-            SimConfig(seed=3, max_hours=20.0),
-            autoscaler=GrowOnce(),
+            cluster, GrowOnce(), trace, SimConfig(seed=3, max_hours=20.0)
         )
         sim.run()
         assert sim.cluster.num_nodes == 3
@@ -391,16 +389,14 @@ class TestHeterogeneousSimulation:
         trace = generate_trace(
             TraceConfig(num_jobs=2, duration_hours=0.1, seed=6, max_gpus=4)
         )
-        sim = Simulator(
-            cluster, TiresiasPolicy(), trace, SimConfig(seed=5, max_hours=10.0)
-        )
-        job_a, job_b = sim.jobs
+        engine = ClusterEngine(cluster, trace, SimConfig(seed=5, max_hours=10.0))
+        job_a, job_b = engine.jobs
         job_a.allocation = np.array([2, 0, 0, 0])  # survives the shrink
         job_b.allocation = np.array([0, 0, 0, 2])  # on a dropped node
         restarts_a = job_a.num_restarts
         restarts_b = job_b.num_restarts
-        sim._resize_cluster(2)
-        assert sim.cluster.num_nodes == 2
+        engine._resize_cluster(2)
+        assert engine.cluster.num_nodes == 2
         assert job_a.num_restarts == restarts_a
         np.testing.assert_array_equal(job_a.allocation, [2, 0])
         # job_b lost everything: no restart counted for a now-empty job.

@@ -1,11 +1,13 @@
-"""Tests for the wall-clock scheduling service (repro.host).
+"""Tests for the scheduling host (repro.host).
 
-The load-bearing guarantee: on a recorded trace, PolicyHost +
-ReplayBackend reproduces the discrete-time simulator's decision stream
-bit-for-bit — same snapshot-build schedule, agent reports only for
+A simulation is PolicyHost + ReplayBackend at infinite compression, so
+the guarantee left to pin is that pacing does not change decisions: a
+replay paced against the wall clock reproduces the unpaced decision
+stream bit-for-bit — same snapshot-build schedule, agent reports only for
 ``needs_agent`` policies, same RNG streams — for every registered policy,
-including autoscaling, idle gaps, heterogeneous clusters, and
-interference.  Plus service-lifecycle and live-threaded-backend behavior.
+including autoscaling, idle gaps, heterogeneous clusters, interference,
+and the max-hours cutoff.  Plus service-lifecycle and live-threaded-backend
+behavior.
 """
 
 import time
@@ -49,15 +51,27 @@ def small_trace(cluster: ClusterSpec, count: int = 6, seed: int = 1):
     )
 
 
+#: Paced-replay speed for the agreement checks: a 30 s tick sleeps 0.1 ms
+#: of wall clock, so every tick goes through the pacing path cheaply.
+PACED = 3.0e5
+
+
+def run_pair(cluster, trace, config, make_policy):
+    """(unpaced simulation, paced replay) results, fresh policy each."""
+    unpaced = Simulator(cluster, make_policy(), trace, config).run()
+    backend = ReplayBackend(cluster, trace, config, compression=PACED)
+    paced = PolicyHost(make_policy(), backend).run()
+    return unpaced, paced
+
+
 def digests_for(cluster, trace, config, make_policy):
-    """(simulator digest, replay-host digest) with fresh policies each."""
-    sim_result = Simulator(cluster, make_policy(), trace, config).run()
-    host_result = PolicyHost(make_policy(), ReplayBackend(cluster, trace, config)).run()
-    return decision_digest(sim_result), decision_digest(host_result)
+    """(unpaced digest, paced digest) with fresh policies each."""
+    unpaced, paced = run_pair(cluster, trace, config, make_policy)
+    return decision_digest(unpaced), decision_digest(paced)
 
 
 # ----------------------------------------------------------------------
-# Replay agreement: the host IS the simulator on a recorded trace
+# Replay agreement: pacing a replay does not change its decisions
 # ----------------------------------------------------------------------
 
 
@@ -68,13 +82,13 @@ class TestReplayAgreement:
     def test_every_policy_agrees(self, name):
         cluster = ClusterSpec.homogeneous(2, 4)
         trace = small_trace(cluster)
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=1001, max_hours=30.0),
             lambda: quick_policy(name, cluster),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_orelastic_cloud_agrees(self):
         cluster = ClusterSpec.homogeneous(1, 4)
@@ -87,7 +101,7 @@ class TestReplayAgreement:
                 fixed_batch_size=512,
             )
         ]
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=5, max_hours=30.0),
@@ -100,12 +114,12 @@ class TestReplayAgreement:
                 gpus_per_node=4,
             ),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_pollux_autoscaling_agrees(self):
         cluster = ClusterSpec.homogeneous(2, 4)
         trace = small_trace(cluster)
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=1001, max_hours=30.0),
@@ -116,74 +130,70 @@ class TestReplayAgreement:
                 autoscale_interval=600.0,
             ),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_idle_gap_agrees(self):
-        # Idle fast-forward must re-align the host timers exactly like the
-        # simulator's (both a leading gap and a mid-trace gap).
+        # Idle fast-forward must re-align the host timers the same way
+        # whether or not the replay is paced.
         cluster = ClusterSpec.homogeneous(2, 4)
         trace = [
             JobSpec("early", MODEL_ZOO["resnet18-cifar10"], 0.0, 2, 256),
             JobSpec("late", MODEL_ZOO["neumf-movielens"], 4 * 3600.0, 2, 256),
         ]
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=7, max_hours=30.0),
             lambda: quick_policy("pollux", cluster),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_leading_idle_gap_agrees(self):
         cluster = ClusterSpec.homogeneous(2, 4)
         trace = [JobSpec("only", MODEL_ZOO["resnet18-cifar10"], 7245.0, 2, 256)]
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=7, max_hours=30.0),
             lambda: quick_policy("pollux", cluster),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_heterogeneous_with_interference_agrees(self):
         cluster = ClusterSpec.heterogeneous((("t4", 2, 4), ("v100", 2, 4)))
         trace = small_trace(cluster, count=8, seed=3)
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=11, max_hours=30.0, interference_slowdown=0.5),
             lambda: quick_policy("pollux", cluster),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_max_hours_cutoff_agrees(self):
         cluster = ClusterSpec.homogeneous(1, 2)
         trace = small_trace(cluster, count=6)
-        sim_digest, host_digest = digests_for(
+        unpaced, paced = digests_for(
             cluster,
             trace,
             SimConfig(seed=1, max_hours=0.25),
             lambda: quick_policy("tiresias", cluster),
         )
-        assert sim_digest == host_digest
+        assert unpaced == paced
 
     def test_result_accounting_matches(self):
         # Beyond the digest: node-seconds, end time, and record fields.
         cluster = ClusterSpec.homogeneous(2, 4)
-        trace = small_trace(cluster)
-        config = SimConfig(seed=1001, max_hours=30.0)
-        sim_result = Simulator(
-            cluster, quick_policy("pollux", cluster), trace, config
-        ).run()
-        host_result = PolicyHost(
-            quick_policy("pollux", cluster),
-            ReplayBackend(cluster, trace, config),
-        ).run()
-        assert host_result.node_seconds == sim_result.node_seconds
-        assert host_result.end_time == sim_result.end_time
-        assert len(host_result.timeline) == len(sim_result.timeline)
-        for sim_rec, host_rec in zip(sim_result.records, host_result.records):
-            assert sim_rec == host_rec
+        unpaced, paced = run_pair(
+            cluster,
+            small_trace(cluster),
+            SimConfig(seed=1001, max_hours=30.0),
+            lambda: quick_policy("pollux", cluster),
+        )
+        assert paced.node_seconds == unpaced.node_seconds
+        assert paced.end_time == unpaced.end_time
+        assert len(paced.timeline) == len(unpaced.timeline)
+        assert paced.records == unpaced.records
 
 
 # ----------------------------------------------------------------------

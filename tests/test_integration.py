@@ -14,8 +14,8 @@ import pytest
 import repro.policy
 from repro.cluster import ClusterSpec
 from repro.core import AutoscaleConfig, GAConfig, PolluxSchedConfig
-from repro.policy import snapshot_state
-from repro.sim import SimConfig, Simulator
+from repro.policy import apply_decision, build_cluster_state, tune_batch_sizes
+from repro.sim import ClusterEngine, SimConfig, Simulator
 from repro.workload import MODEL_ZOO, JobSpec, TraceConfig, generate_trace
 
 SMALL_MIX = {
@@ -109,30 +109,34 @@ class TestPolluxAdaptivity:
             fixed_batch_size=128,
         )
         scheduler = quick_pollux(cluster)
-        sim = Simulator(
-            cluster, scheduler, [spec], SimConfig(seed=3, max_hours=5)
-        )
+        caps = scheduler.capabilities
+        config = SimConfig(seed=3, max_hours=5)
+        engine = ClusterEngine(cluster, [spec], config)
+        engine._admit_submitted()
         max_gpus_seen = 0
         max_batch_seen = 0.0
-        job = sim.jobs[0]
-        # Drive the simulator manually to watch the trajectory.
-        while sim.now < 5 * 3600 and not job.complete:
-            active = sim.active_jobs()
-            if sim.now >= sim._next_schedule:
-                state = snapshot_state(cluster, active, with_reports=True)
-                allocs = dict(
-                    scheduler.schedule(sim.now, state).allocations
+        job = engine.jobs[0]
+        next_schedule = 0.0
+        # Drive the engine and the dispatch helpers by hand to watch the
+        # trajectory between scheduling events.
+        while engine.now < 5 * 3600 and not job.complete:
+            active = list(engine._active)
+            if engine.now >= next_schedule:
+                state = build_cluster_state(engine.cluster, active, caps)
+                apply_decision(
+                    scheduler.schedule(engine.now, state),
+                    active,
+                    caps,
+                    apply_allocations=engine._apply_allocations,
+                    resize_cluster=engine._resize_cluster,
                 )
-                sim._apply_allocations(allocs, active)
-                sim._next_schedule = sim.now + sim.config.scheduling_interval
-                sim._tune_batch_sizes(active)
-            for j in active:
-                if j.num_gpus > 0 and sim.now >= j.restart_until:
-                    sim._observe(j, 0.0)
-                sim._advance(j, sim.config.tick_seconds, 0.0)
+                next_schedule = engine.now + config.scheduling_interval
+                tune_batch_sizes(
+                    active, config.batch_tuning, config.tuning_points_per_octave
+                )
+            engine.run_one_tick(profile=caps.needs_agent)
             max_gpus_seen = max(max_gpus_seen, job.num_gpus)
             max_batch_seen = max(max_batch_seen, job.batch_size)
-            sim.now += sim.config.tick_seconds
         assert job.complete
         assert max_gpus_seen > 1  # exploration grew the allocation
         assert max_batch_seen > 128.0  # batch size adapted upward
@@ -147,9 +151,11 @@ class TestPolluxAdaptivity:
             fixed_batch_size=128,
         )
         scheduler = quick_pollux(cluster)
-        sim = Simulator(cluster, scheduler, [spec], SimConfig(seed=3, max_hours=1))
-        active = sim.active_jobs()
-        state = snapshot_state(cluster, active, with_reports=True)
+        engine = ClusterEngine(cluster, [spec], SimConfig(seed=3, max_hours=1))
+        engine._admit_submitted()
+        state = build_cluster_state(
+            cluster, engine._active, scheduler.capabilities
+        )
         allocs = scheduler.schedule(0.0, state).allocations
         assert allocs["solo"].sum() <= 1
 

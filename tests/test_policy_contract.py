@@ -4,12 +4,13 @@ Parameterized over ``repro.policy.available()``: whatever is in the
 registry — including policies added later — must uphold the Policy API
 contract: registry construction with uniform ``cluster``/``seed`` kwargs,
 allocations only for active jobs on feasible vectors, graceful empty-state
-handling, snapshot immutability, and capabilities that every *host*
-actually honors (profiling, batch-size tuning, autoscale dispatch).  The
-capability/dispatch sections run parameterized over both hosts — the
-discrete-time simulator and the wall-clock PolicyHost on a replayed trace
-— pinning that capability handling and lifecycle events behave
-identically no matter which host drives the policy.
+handling, snapshot immutability, and capabilities that the host
+actually honors (profiling, batch-size tuning, autoscale dispatch,
+lifecycle events).  The capability/dispatch sections run on a simulation,
+which is the one host loop (PolicyHost) replaying a trace.  The dispatch
+tests run both through the ``Simulator`` facade and through a
+``PolicyHost`` built by hand, pinning that the facade hands the policy,
+trace and result through unchanged.
 """
 
 import dataclasses
@@ -45,20 +46,25 @@ CONTRACT_POLICIES = tuple(ALL_POLICIES) + ("pollux-sharded+process",)
 #: Policies constrained to the single-job cloud scenario.
 SINGLE_JOB_POLICIES = {"orelastic"}
 
-#: Both hosts of the Policy API; the capability/dispatch contract tests
-#: run against each.
+#: The two ways to drive a policy over a trace: the ``Simulator`` facade
+#: and a ``PolicyHost`` on a ``ReplayBackend`` built by hand.
 HOSTS = ("simulator", "policyhost")
 
 
-def run_host(host, cluster, policy, trace, config):
-    """Run ``trace`` through the chosen host; returns (result, jobs).
+def simulate(cluster, policy, trace, config):
+    """Simulate ``trace`` under ``policy``; returns (result, jobs).
 
     ``jobs`` are the host's runtime job objects (for asserting profiling
     and batch-size behavior after the run).
     """
+    sim = Simulator(cluster, policy, trace, config)
+    return sim.run(), sim.jobs
+
+
+def run_host(host, cluster, policy, trace, config):
+    """Like ``simulate``, through the facade or a hand-built PolicyHost."""
     if host == "simulator":
-        sim = Simulator(cluster, policy, trace, config)
-        return sim.run(), sim.jobs
+        return simulate(cluster, policy, trace, config)
     backend = ReplayBackend(cluster, trace, config)
     result = PolicyHost(policy, backend).run()
     return result, backend.engine.jobs
@@ -257,7 +263,7 @@ class TestSnapshotImmutability:
 
 
 # ----------------------------------------------------------------------
-# Capabilities are honored by the simulator
+# Capabilities are honored by the host
 # ----------------------------------------------------------------------
 
 
@@ -275,14 +281,12 @@ def _trace(cluster, count=3, gpus=2):
 
 
 class TestHostsHonorCapabilities:
-    @pytest.mark.parametrize("host", HOSTS)
     @pytest.mark.parametrize("name", CONTRACT_POLICIES)
-    def test_agent_profiling_matches_needs_agent(self, name, host):
+    def test_agent_profiling_matches_needs_agent(self, name):
         cluster = ClusterSpec.homogeneous(2, 4)
         policy = make_policy(name, cluster)
         count = 1 if name in SINGLE_JOB_POLICIES else 3
-        _, jobs = run_host(
-            host,
+        _, jobs = simulate(
             cluster,
             policy,
             _trace(cluster, count),
@@ -291,19 +295,17 @@ class TestHostsHonorCapabilities:
         profiled = any(job.agent.profile_entries() for job in jobs)
         assert profiled == policy.capabilities.needs_agent
 
-    @pytest.mark.parametrize("host", HOSTS)
     @pytest.mark.parametrize(
         "name", sorted(set(ALL_POLICIES) - {"pollux", "pollux-sharded"})
     )
-    def test_fixed_batch_size_without_adaptation(self, name, host):
+    def test_fixed_batch_size_without_adaptation(self, name):
         # Policies without adapts_batch_size never get agent re-tuning;
         # batch sizes stay at the submitted value unless the policy fixed
         # them itself through ScheduleDecision.batch_sizes (orelastic).
         cluster = ClusterSpec.homogeneous(2, 4)
         policy = make_policy(name, cluster)
         count = 1 if name in SINGLE_JOB_POLICIES else 2
-        _, jobs = run_host(
-            host,
+        _, jobs = simulate(
             cluster,
             policy,
             _trace(cluster, count),

@@ -1,15 +1,12 @@
 """Tests for the concrete scheduling policies (Pollux + baselines).
 
 Policies are exercised through the Policy API (snapshot states in,
-ScheduleDecision out); the deprecated ``repro.schedulers`` shims get their
-own class asserting they warn and still construct working policies with the
-legacy calling conventions.
+ScheduleDecision out).
 """
 
 import numpy as np
 import pytest
 
-import repro.policy
 from repro.cluster import ClusterSpec, validate_allocation_matrix
 from repro.core import GAConfig, PolluxSchedConfig
 from repro.policy import (
@@ -243,108 +240,3 @@ class TestOrElastic:
         sched = OrElasticPolicy(autoscale=True, min_nodes=2, max_nodes=8)
         request = sched.decide_resize(0.0, snapshot_state(cluster, []))
         assert request.num_nodes == 2
-
-
-class TestDeprecationShims:
-    """repro.schedulers stays importable: warns, still builds working
-    policies, and keeps the legacy calling conventions."""
-
-    def test_old_names_importable(self):
-        from repro.schedulers import (  # noqa: F401
-            OptimusScheduler,
-            OrElasticAutoscaler,
-            OrElasticScheduler,
-            PolluxAutoscalerHook,
-            PolluxScheduler,
-            TiresiasScheduler,
-        )
-
-    def test_shims_warn_and_construct_working_policies(self, cluster):
-        from repro.schedulers import (
-            OptimusScheduler,
-            PolluxScheduler,
-            TiresiasScheduler,
-        )
-
-        with pytest.warns(DeprecationWarning, match="repro.policy.create"):
-            pollux = PolluxScheduler(
-                cluster,
-                PolluxSchedConfig(ga=GAConfig(population_size=8, generations=4)),
-            )
-        with pytest.warns(DeprecationWarning):
-            tiresias = TiresiasScheduler()
-        with pytest.warns(DeprecationWarning):
-            optimus = OptimusScheduler()
-        assert isinstance(pollux, PolluxPolicy)
-        assert isinstance(tiresias, TiresiasPolicy)
-        assert isinstance(optimus, OptimusPolicy)
-        # The shims still schedule (legacy three-argument signature).
-        jobs = [make_sim_job("a"), make_sim_job("b")]
-        allocations = tiresias.schedule(0.0, jobs, cluster)
-        assert isinstance(allocations, dict)
-        assert set(allocations) == {"a", "b"}
-
-    def test_legacy_signature_matches_policy_api(self, cluster):
-        from repro.schedulers import TiresiasScheduler
-
-        with pytest.warns(DeprecationWarning):
-            shim = TiresiasScheduler()
-        native = TiresiasPolicy()
-        jobs = [make_sim_job("a", gpus=3), make_sim_job("b", gpus=2)]
-        legacy = shim.schedule(0.0, jobs, cluster)
-        modern = allocations_of(native, jobs, cluster)
-        assert set(legacy) == set(modern)
-        for name in legacy:
-            np.testing.assert_array_equal(legacy[name], modern[name])
-
-    def test_orelastic_shim_mutates_batch_size_in_place(self, cluster):
-        from repro.schedulers import OrElasticScheduler
-
-        with pytest.warns(DeprecationWarning):
-            shim = OrElasticScheduler()
-        job = make_sim_job("solo", model="resnet50-imagenet", bs=256)
-        shim.schedule(0.0, [job], cluster)
-        # Legacy contract: the scheduler set job.batch_size itself.
-        assert job.batch_size == min(
-            job.model.limits.max_batch_size,
-            cluster.total_gpus * job.model.limits.max_local_bsz,
-        )
-
-    def test_autoscaler_shims_keep_decide_protocol(self, cluster):
-        from repro.schedulers import OrElasticAutoscaler, OrElasticScheduler
-
-        with pytest.warns(DeprecationWarning):
-            autoscaler = OrElasticAutoscaler(min_nodes=2, max_nodes=8)
-        with pytest.warns(DeprecationWarning):
-            sched = OrElasticScheduler()
-        assert autoscaler.decide(0.0, [], cluster, sched) == 2
-        job = make_sim_job("solo", model="resnet50-imagenet")
-        assert autoscaler.decide(0.0, [job], cluster, sched) >= 2
-
-    def test_pollux_hook_decide_via_shim(self, cluster):
-        from repro.core import AutoscaleConfig
-        from repro.schedulers import PolluxAutoscalerHook, PolluxScheduler
-
-        with pytest.warns(DeprecationWarning):
-            sched = PolluxScheduler(
-                cluster,
-                PolluxSchedConfig(ga=GAConfig(population_size=8, generations=4)),
-            )
-        with pytest.warns(DeprecationWarning):
-            hook = PolluxAutoscalerHook(
-                AutoscaleConfig(min_nodes=1, max_nodes=8), interval=600.0
-            )
-        job = make_sim_job("a")
-        job.agent.record_iteration(1, 1, 128, 0.1)
-        job.allocation = np.array([1, 0, 0, 0])
-        desired = hook.decide(0.0, [job], cluster, sched)
-        assert 1 <= desired <= 8
-
-    def test_registry_and_shim_agree(self, cluster):
-        from repro.schedulers import TiresiasScheduler
-
-        with pytest.warns(DeprecationWarning):
-            shim = TiresiasScheduler()
-        native = repro.policy.create("tiresias", cluster=cluster)
-        assert shim.name == native.name
-        assert shim.capabilities == native.capabilities

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.host import PolicyHost, ReplayBackend
+from repro.policy import Policy, ScheduleDecision
 from repro.sim import SimConfig, Simulator
 from repro.sim.job import SimJob
 from repro.workload import MODEL_ZOO, JobSpec
 
 
-class FixedScheduler:
-    """Gives every job its requested GPUs on node 0 (for testing)."""
+class FixedScheduler(Policy):
+    """Gives every job its requested GPUs, filling nodes in order."""
 
     name = "fixed"
-    adapts_batch_size = False
-    needs_agent = False
 
-    def schedule(self, now, jobs, cluster):
+    def schedule(self, now, state):
+        cluster = state.cluster
         allocations = {}
         free = cluster.capacities().copy()
-        for job in jobs:
-            want = min(job.spec.fixed_num_gpus, int(free.sum()))
+        for job in state.jobs:
+            want = min(job.fixed_num_gpus, int(free.sum()))
             alloc = np.zeros(cluster.num_nodes, dtype=np.int64)
             for node in range(cluster.num_nodes):
                 take = min(want, int(free[node]))
@@ -30,7 +31,7 @@ class FixedScheduler:
                 if want == 0:
                     break
             allocations[job.name] = alloc
-        return allocations
+        return ScheduleDecision(allocations=allocations)
 
 
 def neumf_spec(name="j0", submit=0.0, gpus=2, bs=512) -> JobSpec:
@@ -146,10 +147,13 @@ class TestInterference:
         class SharingScheduler(FixedScheduler):
             """Forces both jobs to span both nodes (interference!)."""
 
-            def schedule(self, now, jobs, cluster):
-                return {
-                    job.name: np.array([1, 1], dtype=np.int64) for job in jobs
-                }
+            def schedule(self, now, state):
+                return ScheduleDecision(
+                    allocations={
+                        job.name: np.array([1, 1], dtype=np.int64)
+                        for job in state.jobs
+                    }
+                )
 
         specs = [neumf_spec("a", gpus=2), neumf_spec("b", gpus=2)]
         sim = Simulator(
@@ -169,10 +173,13 @@ class TestInterference:
         cluster = ClusterSpec.homogeneous(2, 4)
 
         class SpanScheduler(FixedScheduler):
-            def schedule(self, now, jobs, cluster):
-                return {
-                    job.name: np.array([1, 1], dtype=np.int64) for job in jobs
-                }
+            def schedule(self, now, state):
+                return ScheduleDecision(
+                    allocations={
+                        job.name: np.array([1, 1], dtype=np.int64)
+                        for job in state.jobs
+                    }
+                )
 
         def run(slowdown):
             sim = Simulator(
@@ -184,6 +191,43 @@ class TestInterference:
             return sim.run()
 
         assert run(0.5).avg_jct() == pytest.approx(run(0.0).avg_jct(), rel=0.01)
+
+
+class TestFacade:
+    def test_run_is_the_replay_host(self, cluster):
+        """Simulator is PolicyHost over an unpaced ReplayBackend."""
+        specs = [neumf_spec("a", 0.0), neumf_spec("b", 600.0)]
+        config = SimConfig(seed=0, max_hours=10)
+        sim = Simulator(cluster, FixedScheduler(), specs, config)
+        assert isinstance(sim.host, PolicyHost)
+        assert isinstance(sim.host.backend, ReplayBackend)
+        result = sim.run()
+        assert result is sim.host.result
+        assert sim.now == result.end_time
+        assert [job.name for job in sim.jobs] == ["a", "b"]
+        assert all(job.complete for job in sim.jobs)
+        replay = PolicyHost(
+            FixedScheduler(), ReplayBackend(cluster, specs, config)
+        ).run()
+        assert replay.records == result.records
+        assert replay.node_seconds == result.node_seconds
+
+    def test_rejects_non_policy_scheduler(self, cluster):
+        """A pre-Policy-API duck-typed scheduler is refused up front."""
+
+        class DuckScheduler:
+            name = "duck"
+            adapts_batch_size = False
+            needs_agent = False
+
+            def schedule(self, now, jobs, cluster):
+                return {}
+
+        with pytest.raises(TypeError, match="repro.policy.create"):
+            Simulator(cluster, DuckScheduler(), [neumf_spec()], SimConfig())
+        backend = ReplayBackend(cluster, [neumf_spec()], SimConfig())
+        with pytest.raises(TypeError, match="repro.policy.create"):
+            PolicyHost(DuckScheduler(), backend)
 
 
 class TestValidation:
